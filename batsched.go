@@ -335,15 +335,6 @@ type (
 // NewEvalService builds an evaluation service.
 func NewEvalService(opts EvalOptions) *EvalService { return service.New(opts) }
 
-// LocalOnly returns a context that disables cluster forwarding for sweeps
-// run under it; the peer evaluate endpoint uses it so forwarded cells are
-// always computed by the receiving node (no forwarding chains).
-func LocalOnly(ctx context.Context) context.Context { return service.LocalOnly(ctx) }
-
-// CellEvaluator is the cluster hook an EvalService forwards owned-elsewhere
-// cells through (implemented by internal/cluster.Cluster).
-type CellEvaluator = service.CellEvaluator
-
 // CellDigests returns the per-cell content digests of a sweep request in
 // the sweep's deterministic result order, plus the whole-request digest.
 // A cell digest covers the cell's resolved display names, its resolved
@@ -388,18 +379,6 @@ type (
 	ResultStore = store.Store
 	// StoreCounters snapshots the store's entry/hit/miss counters.
 	StoreCounters = store.Counters
-	// StoreBackend is the interface both the plain ResultStore and the
-	// cluster-aware TieredStore satisfy; the service and job layers accept
-	// any implementation.
-	StoreBackend = store.Backend
-	// TieredStore consults a local backend first and a remote tier (cluster
-	// peers) on miss, writing remote hits through locally.
-	TieredStore = store.Tiered
-	// StoreRemoteTier is the remote half of a TieredStore (implemented by
-	// the cluster peer client).
-	StoreRemoteTier = store.RemoteTier
-	// StoreTierCounters snapshots a TieredStore's remote hit/miss ledger.
-	StoreTierCounters = store.TierCounters
 )
 
 // Job lifecycle states.
@@ -464,16 +443,9 @@ func ParseStoreSyncPolicy(s string) (StoreSyncPolicy, error) { return store.Pars
 func OpenResultStoreWith(opts StoreOptions) (*ResultStore, error) { return store.OpenWith(opts) }
 
 // NewJobManager builds a job manager executing through svc and
-// deduplicating against st (any StoreBackend — the plain store or a
-// cluster-aware tiered one), and starts its worker pool.
-func NewJobManager(svc *EvalService, st StoreBackend, opts JobOptions) *JobManager {
+// deduplicating against st, and starts its worker pool.
+func NewJobManager(svc *EvalService, st *ResultStore, opts JobOptions) *JobManager {
 	return jobs.New(svc, st, opts)
-}
-
-// NewTieredStore layers a remote tier (cluster peers) over a local backend;
-// a nil remote is a transparent pass-through to local.
-func NewTieredStore(local StoreBackend, remote StoreRemoteTier) *TieredStore {
-	return store.NewTiered(local, remote)
 }
 
 // Monte-Carlo lifetime estimation (internal/mcarlo): sample random loads,

@@ -74,12 +74,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"batsched"
-	"batsched/internal/cluster"
 	"batsched/internal/obs"
 )
 
@@ -100,9 +98,6 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 0, "max concurrently executing synchronous evaluations before shedding with 429 (0 = unlimited)")
 	debugAddr := flag.String("debug-addr", "", "debug listen address for pprof, /debug/traces, and runtime metrics (empty = disabled)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, or error")
-	peers := flag.String("peers", "", "comma-separated base URLs of the other cluster members (empty = single-node)")
-	advertise := flag.String("advertise", "", "this node's base URL as the peers address it (required with -peers)")
-	gossipInterval := flag.Duration("gossip-interval", 2*time.Second, "how often to gossip store-hit digests and health with a random peer")
 	flag.Parse()
 
 	var level slog.Level
@@ -133,46 +128,16 @@ func main() {
 		logger.Error("store open failed", "error", err)
 		os.Exit(1)
 	}
-	// Clustering: with -peers the node joins a consistent-hash ring over
-	// the cell-digest space. The service and job layers then run on a
-	// tiered backend (local store first, ring peers on miss) and forward
-	// owned-elsewhere cells to their owners; without -peers everything
-	// below collapses to the exact single-node configuration.
-	var clu *cluster.Cluster
-	backend := batsched.StoreBackend(st)
-	if *peers != "" {
-		if *advertise == "" {
-			fmt.Fprintln(os.Stderr, "batserve: -peers requires -advertise (this node's base URL)")
-			os.Exit(1)
-		}
-		var peerList []string
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peerList = append(peerList, strings.TrimRight(p, "/"))
-			}
-		}
-		clu = cluster.New(cluster.Options{
-			Self:       strings.TrimRight(*advertise, "/"),
-			Peers:      peerList,
-			RPCLatency: kit.peerLatency,
-		})
-		backend = batsched.NewTieredStore(st, clu)
-		logger.Info("clustered", "self", clu.Self(), "members", len(clu.Ring().Members()))
-	}
 	// The service and the job manager share one store: synchronous sweeps
 	// and jobs then reuse each other's cells, and an overlapping submission
 	// on either path evaluates only what neither has produced.
-	evalOpts := batsched.EvalOptions{
+	svc := batsched.NewEvalService(batsched.EvalOptions{
 		MaxConcurrent: *concurrency,
 		CacheEntries:  *cacheSize,
-		Store:         backend,
+		Store:         st,
 		CellLatency:   kit.cellLatency,
-	}
-	if clu != nil {
-		evalOpts.Cluster = clu
-	}
-	svc := batsched.NewEvalService(evalOpts)
-	mgr := batsched.NewJobManager(svc, backend, batsched.JobOptions{
+	})
+	mgr := batsched.NewJobManager(svc, st, batsched.JobOptions{
 		Workers:    *jobWorkers,
 		QueueDepth: *queueDepth,
 		RetainJobs: *retainJobs,
@@ -193,7 +158,6 @@ func main() {
 		requestTimeout: *requestTimeout,
 		maxInflight:    int64(*maxInflight),
 		obs:            kit,
-		cluster:        clu,
 	}
 	srv := &http.Server{
 		Addr:              *addr,
@@ -204,9 +168,6 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	logger.Info("listening", "addr", *addr)
-	if clu != nil {
-		clu.StartGossip(*gossipInterval)
-	}
 
 	// The optional debug listener carries the heavier diagnostics — pprof,
 	// the span ring, and runtime-metrics gauges folded into the exposition —
@@ -241,9 +202,6 @@ func main() {
 	// shed) for the whole drain, so a load balancer stops routing here
 	// while in-flight work finishes.
 	a.draining.Store(true)
-	if clu != nil {
-		clu.StopGossip()
-	}
 	if err := drainAndClose(srv, sess, mgr, st, *drain); err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			// The deadline path is still clean: remaining jobs were cancelled

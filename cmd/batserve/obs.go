@@ -56,13 +56,6 @@ func (k *obsKit) stepLatency(policy string) *obs.Histogram {
 	return k.reg.Histogram("batserve_session_policy_step_seconds", nil, obs.L("policy", policy))
 }
 
-// peerLatency is the cluster's RPCLatency hook: one histogram per peer RPC
-// kind (fetch, push, evaluate, gossip). Families appear on first use, so a
-// single-node server's exposition carries no cluster series at all.
-func (k *obsKit) peerLatency(op string) *obs.Histogram {
-	return k.reg.Histogram("batserve_peer_rpc_seconds", nil, obs.L("op", op))
-}
-
 // httpLatency resolves the request-latency histogram for a route/status
 // pair.
 func (k *obsKit) httpLatency(route string, status int) *obs.Histogram {
@@ -198,8 +191,6 @@ func (a *app) legacyMetrics(e *obs.Exposition) {
 	e.Val("batserve_cache_hits_total", cs.Hits)
 	e.Val("batserve_sweep_cell_hits_total", cs.CellHits)
 	e.Val("batserve_sweep_cells_evaluated_total", cs.CellsEvaluated)
-	e.Val("batserve_sweep_cells_forwarded_total", cs.CellsForwarded)
-	e.Val("batserve_sweep_forward_fallbacks_total", cs.ForwardFallbacks)
 	e.Val("batserve_store_errors_total", cs.StoreErrors)
 	e.Val("batserve_search_states_total", cs.Search.States)
 	e.Val("batserve_search_leaves_total", cs.Search.Leaves)
@@ -222,38 +213,6 @@ func (a *app) legacyMetrics(e *obs.Exposition) {
 		e.ValL("batserve_session_policy_step_p50_nanos", "policy", pl.Policy, int64(pl.P50Nanos))
 		e.ValL("batserve_session_policy_step_p95_nanos", "policy", pl.Policy, int64(pl.P95Nanos))
 		e.ValL("batserve_session_policy_step_p99_nanos", "policy", pl.Policy, int64(pl.P99Nanos))
-	}
-	// Cluster counters appear only on clustered nodes; single-node
-	// expositions are byte-for-byte what they were before clustering
-	// existed.
-	if a.cluster != nil {
-		cl := a.cluster.Stats()
-		e.Val("batserve_cluster_members", int64(cl.Members))
-		e.Val("batserve_cluster_peers_healthy", int64(cl.PeersHealthy))
-		e.Val("batserve_cluster_ring_replicas", int64(cl.RingReplicas))
-		e.Val("batserve_cluster_fetches_total", cl.Fetches)
-		e.Val("batserve_cluster_fetched_cells_total", cl.FetchedCells)
-		e.Val("batserve_cluster_fetch_errors_total", cl.FetchErrors)
-		e.Val("batserve_cluster_pushes_total", cl.Pushes)
-		e.Val("batserve_cluster_push_errors_total", cl.PushErrors)
-		e.Val("batserve_cluster_pushes_dropped_total", cl.PushesDropped)
-		e.Val("batserve_cluster_evaluates_total", cl.Evaluates)
-		e.Val("batserve_cluster_evaluate_errors_total", cl.EvaluateErr)
-		e.Val("batserve_cluster_gossip_sent_total", cl.GossipSent)
-		e.Val("batserve_cluster_gossip_recv_total", cl.GossipRecv)
-		e.Val("batserve_cluster_gossip_errors_total", cl.GossipErrors)
-		e.Val("batserve_cluster_hint_cells", int64(cl.HintCells))
-		e.Val("batserve_cluster_hint_hits_total", cl.HintHits)
-		e.Val("batserve_cluster_breaker_trips_total", cl.BreakerTrips)
-		e.Val("batserve_cluster_unreachable_share_permille",
-			int64(a.cluster.UnreachableShare()*1000))
-		for _, ps := range a.cluster.Health() {
-			healthy := int64(0)
-			if ps.Healthy {
-				healthy = 1
-			}
-			e.ValL("batserve_cluster_peer_healthy", "peer", ps.Addr, healthy)
-		}
 	}
 	e.Val("batserve_uptime_seconds", int64(time.Since(a.start).Seconds()))
 }

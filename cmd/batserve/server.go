@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"batsched"
-	"batsched/internal/cluster"
 )
 
 // maxRequestBytes bounds request bodies; scenario JSON is small, and an
@@ -36,16 +35,8 @@ type app struct {
 	svc      *batsched.EvalService
 	jobs     *batsched.JobManager
 	sessions *batsched.SessionManager
-	// st is this node's LOCAL store tier: the readiness probe and the peer
-	// API read and write it directly. The service and job layers may wrap
-	// it in a cluster-aware tiered backend; the peer endpoints must not,
-	// or a remote miss would recurse back into the cluster.
-	st    *batsched.ResultStore
-	start time.Time
-
-	// cluster is the multi-node tier; nil on single-node servers (the peer
-	// API is then not even routed).
-	cluster *cluster.Cluster
+	st       *batsched.ResultStore
+	start    time.Time
 
 	// requestTimeout bounds each synchronous evaluation request; 0 means
 	// unbounded. A missed deadline answers 504.
@@ -96,9 +87,6 @@ func newHandler(a *app) http.Handler {
 	route("POST /v1/sessions/{id}/step", a.handleSessionStep)
 	route("GET /v1/sessions/{id}/events", a.handleSessionEvents)
 	route("DELETE /v1/sessions/{id}", a.handleSessionClose)
-	if a.cluster != nil {
-		a.clusterRoutes(route)
-	}
 	return mux
 }
 
@@ -195,7 +183,7 @@ var buildVersion = func() string {
 func (a *app) handleHealth(w http.ResponseWriter, r *http.Request) {
 	st := a.svc.Stats()
 	jm := a.jobs.Metrics()
-	resp := map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"status":          "ok",
 		"uptime_seconds":  int64(time.Since(a.start).Seconds()),
 		"build":           buildVersion,
@@ -205,14 +193,7 @@ func (a *app) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"job_queue_depth": jm.QueueDepth,
 		"jobs_running":    jm.JobsByState[batsched.JobRunning],
 		"sessions_open":   a.sessions.Metrics().Open,
-	}
-	if a.cluster != nil {
-		cs := a.cluster.Stats()
-		resp["cluster_self"] = a.cluster.Self()
-		resp["cluster_members"] = cs.Members
-		resp["cluster_peers_healthy"] = cs.PeersHealthy
-	}
-	writeJSON(w, http.StatusOK, resp)
+	})
 }
 
 // handleReady is the readiness probe, distinct from /healthz liveness: a
@@ -228,37 +209,14 @@ func (a *app) handleReady(w http.ResponseWriter, r *http.Request) {
 	if a.st.Degraded() {
 		reasons = append(reasons, "store degraded: write circuit open")
 	}
-	notReady := len(reasons) > 0
-	// Cluster health is reported per peer but only flips readiness when a
-	// majority of the ring is owned by unreachable peers: below that the
-	// local-fallback rule keeps every sweep completing (the minority of
-	// forwarded cells are just evaluated here), so the node is still
-	// useful — a load balancer draining it would lose capacity for nothing.
-	if a.cluster != nil {
-		for _, ps := range a.cluster.Health() {
-			if !ps.Healthy {
-				reasons = append(reasons, fmt.Sprintf("peer:%s unreachable (%s)", ps.Addr, ps.Reason))
-			}
-		}
-		if a.cluster.UnreachableShare() > 0.5 {
-			notReady = true
-			reasons = append(reasons, "majority of owned shards unservable")
-		}
-	}
-	if notReady {
+	if len(reasons) > 0 {
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status": "not ready", "reasons": reasons,
 		})
 		return
 	}
-	resp := map[string]any{"status": "ready"}
-	if len(reasons) > 0 {
-		// Peer trouble below the majority threshold: still ready, but the
-		// reasons surface so operators see the degradation before it grows.
-		resp["reasons"] = reasons
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
 }
 
 // policyInfo is one registry entry in wire form.

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"batsched/internal/battery"
-	"batsched/internal/cluster"
 	"batsched/internal/core"
 	"batsched/internal/dkibam"
 	"batsched/internal/jobs"
@@ -522,45 +521,6 @@ func sweepOverlapCase(name string) (kase, error) {
 	}, nil
 }
 
-// sweepDisarmedClusterCase measures the pinned grid cold with the cluster
-// plumbing compiled in but disarmed: the service runs on a Tiered backend
-// whose remote tier is a peerless Cluster, and that same Cluster is wired
-// as the forwarding evaluator. Disarmed, it owns every cell, fetches
-// nothing, and forwards nothing — so this case pins what a single-node
-// server pays for carrying the multi-node hooks. Gated against the
-// committed baseline like every case, it keeps "clustering off" from ever
-// drifting away from the plain sweep/overlap/cold path it must match.
-func sweepDisarmedClusterCase(name string) kase {
-	sc := jobsScenario()
-	return kase{
-		name: name,
-		run: func() (float64, error) {
-			st, err := store.Open("")
-			if err != nil {
-				return 0, err
-			}
-			defer st.Close()
-			clu := cluster.New(cluster.Options{Self: "bench://solo"})
-			svc := service.New(service.Options{
-				MaxConcurrent: 2,
-				Store:         store.NewTiered(st, clu),
-				Cluster:       clu,
-			})
-			last, cached, err := runSweepLines(svc, sc)
-			if err != nil {
-				return 0, err
-			}
-			if cached != 0 {
-				return 0, fmt.Errorf("benchkit: disarmed-cluster sweep reported %d cached cells", cached)
-			}
-			if fwd := svc.Stats().CellsForwarded; fwd != 0 {
-				return 0, fmt.Errorf("benchkit: disarmed cluster forwarded %d cells", fwd)
-			}
-			return last, nil
-		},
-	}
-}
-
 // sessionStepCase measures one online scheduling step through the session
 // layer: append a draw event, advance the engine through its decisions,
 // fill telemetry. The shared bank artifact and the telemetry buffer live
@@ -728,11 +688,6 @@ func suite() ([]kase, error) {
 	if err := add(sweepOverlapCase("sweep/overlap/resubmit-90pct/200-case-grid")); err != nil {
 		return nil, err
 	}
-	// The cluster-disarmed pin: the same cold grid through the tiered
-	// backend and forwarding hooks with no peers configured. Its delta
-	// against the cold case above is the whole price of compiling the
-	// multi-node tier into a single-node server.
-	cases = append(cases, sweepDisarmedClusterCase("sweep/cluster-disarmed/cold/200-case-grid"))
 	// The observability overhead pins: what instrumentation costs on paths
 	// that run per cell or per step. Disarmed span start/end is the price
 	// every un-traced request pays (gated at zero allocations); histogram

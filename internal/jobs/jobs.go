@@ -241,7 +241,7 @@ const OpJobRun = "jobs.run"
 // is safe for concurrent use.
 type Manager struct {
 	svc        *service.Service
-	st         store.Backend
+	st         *store.Store
 	workers    int
 	depth      int
 	retain     int
@@ -272,7 +272,7 @@ type Manager struct {
 // New builds a Manager executing jobs through svc, deduplicating against
 // st (which must be non-nil; use store.Open("") for a memory-only store),
 // and starts its worker pool.
-func New(svc *service.Service, st store.Backend, opts Options) *Manager {
+func New(svc *service.Service, st *store.Store, opts Options) *Manager {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
@@ -323,7 +323,7 @@ func New(svc *service.Service, st store.Backend, opts Options) *Manager {
 }
 
 // Store exposes the manager's result store (for metrics and direct reads).
-func (m *Manager) Store() store.Backend { return m.st }
+func (m *Manager) Store() *store.Store { return m.st }
 
 // Submit validates and enqueues a sweep job. When the result store's
 // whole-request index already holds the request's digest, the returned job

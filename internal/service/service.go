@@ -44,35 +44,12 @@ type Options struct {
 	// after, so overlapping sweeps evaluate only the cells no earlier sweep
 	// has produced. Concurrent sweeps additionally coordinate in-flight
 	// cells (see the flight map), so a shared cell is evaluated at most
-	// once even when two sweeps miss it simultaneously. Any store.Backend
-	// works: the plain single-node store or a store.Tiered that consults
-	// cluster peers on miss.
-	Store store.Backend
-	// Cluster, when set, is the multi-node ownership hook (implemented by
-	// internal/cluster.Cluster): cells owned by another node are forwarded
-	// to their owner instead of evaluated here, with transparent local
-	// fallback when the owner is unreachable. Requires Store — clustering
-	// shards the cell store; without one there is nothing to route. Nil
-	// (or a disarmed cluster) keeps the single-node behavior exactly.
-	Cluster CellEvaluator
+	// once even when two sweeps miss it simultaneously.
+	Store *store.Store
 	// CellLatency, when set, observes the wall-clock seconds of every cell
 	// the sweep engine actually evaluates (compile included). Nil is a
 	// no-op.
 	CellLatency *obs.Histogram
-}
-
-// CellEvaluator is the cluster-side contract the service forwards through.
-// It is defined here (not in internal/cluster) so the service stays free of
-// the cluster package; internal/cluster.Cluster satisfies it.
-//
-// OwnsCell reports whether this node must evaluate the cell itself; a
-// disarmed (single-node) implementation returns true for every digest.
-// EvaluateCell asks the owning node to evaluate one cell — body is the
-// JSON-encoded single-cell SweepRequest — and returns the owner's stored
-// NDJSON line. Any error means "fall back to local evaluation".
-type CellEvaluator interface {
-	OwnsCell(digest string) bool
-	EvaluateCell(ctx context.Context, digest string, body []byte) (json.RawMessage, error)
 }
 
 // DefaultCacheEntries is the compiled-cache bound when Options.CacheEntries
@@ -84,8 +61,7 @@ const DefaultCacheEntries = 256
 type Service struct {
 	sem     chan struct{}
 	maxSize int
-	st      store.Backend  // nil = no cell-granular result caching
-	cluster CellEvaluator  // nil = single-node, every cell self-owned
+	st      *store.Store   // nil = no cell-granular result caching
 	cellLat *obs.Histogram // per-cell evaluation latency, nil = not observed
 
 	mu    sync.Mutex
@@ -106,12 +82,6 @@ type Service struct {
 	cellHits       atomic.Int64
 	cellsEvaluated atomic.Int64
 	storeErrors    atomic.Int64
-
-	// cellsForwarded counts cells evaluated by their owning peer on this
-	// sweep's behalf; forwardFallbacks counts owned-elsewhere cells this
-	// node evaluated locally because the owner was unreachable.
-	cellsForwarded   atomic.Int64
-	forwardFallbacks atomic.Int64
 
 	// search accumulates the optimal solvers' SearchStats across every cell
 	// this service actually evaluated (cache hits re-serve stored counters
@@ -151,7 +121,6 @@ func New(opts Options) *Service {
 		sem:     make(chan struct{}, workers),
 		maxSize: size,
 		st:      opts.Store,
-		cluster: opts.Cluster,
 		cellLat: opts.CellLatency,
 		cache:   make(map[string]*cacheEntry),
 		flights: make(map[string]*flight),
@@ -160,7 +129,7 @@ func New(opts Options) *Service {
 
 // Store returns the service's cell-granular result store (nil when none was
 // configured).
-func (s *Service) Store() store.Backend { return s.st }
+func (s *Service) Store() *store.Store { return s.st }
 
 // Stats reports cache effectiveness.
 type Stats struct {
@@ -179,12 +148,6 @@ type Stats struct {
 	// StoreErrors counts failed cell commits (file-backend trouble); a
 	// commit failure only costs future dedup, never the sweep itself.
 	StoreErrors int64
-	// CellsForwarded counts cells evaluated by their owning cluster peer on
-	// this node's behalf (they do not appear in CellsEvaluated — the owner
-	// counts them); ForwardFallbacks counts owned-elsewhere cells this node
-	// evaluated itself because the owner was unreachable.
-	CellsForwarded   int64
-	ForwardFallbacks int64
 	// Search is the cumulative optimal-search effort (states, prunes, LP
 	// bound evaluations, steals, shared-memo traffic) over every cell this
 	// service evaluated itself — cells served from the cache or the result
@@ -201,15 +164,13 @@ func (s *Service) Stats() Stats {
 	search := s.search
 	s.searchMu.Unlock()
 	return Stats{
-		Compiles:         s.compiles.Load(),
-		Hits:             s.hits.Load(),
-		Entries:          entries,
-		CellHits:         s.cellHits.Load(),
-		CellsEvaluated:   s.cellsEvaluated.Load(),
-		StoreErrors:      s.storeErrors.Load(),
-		CellsForwarded:   s.cellsForwarded.Load(),
-		ForwardFallbacks: s.forwardFallbacks.Load(),
-		Search:           search,
+		Compiles:       s.compiles.Load(),
+		Hits:           s.hits.Load(),
+		Entries:        entries,
+		CellHits:       s.cellHits.Load(),
+		CellsEvaluated: s.cellsEvaluated.Load(),
+		StoreErrors:    s.storeErrors.Load(),
+		Search:         search,
 	}
 }
 
@@ -485,17 +446,8 @@ func (s *Service) sweepCore(ctx context.Context, req SweepRequest, emitLine func
 		},
 	}
 	if s.st != nil {
-		// Cluster ownership rule: cells owned by another node are forwarded
-		// to their owner instead of evaluated here — unless this sweep IS a
-		// forwarded evaluation (LocalOnly), which must never re-forward, so
-		// ring-view skew between nodes degrades to duplicate work, never to
-		// a forwarding chain.
-		var fwdBody func(i int) ([]byte, error)
-		if s.cluster != nil && ctx.Value(localOnlyKey{}) == nil {
-			fwdBody = singleCellBody(req)
-		}
 		opts.Lookup = func(i int) (sweep.Result, bool) {
-			return s.lookupCell(ctx, i, digests, cellLines, claims, fwdBody, cancel, span)
+			return s.lookupCell(i, digests, cellLines, claims, cancel, span)
 		}
 	}
 	if _, err := sweep.Run(sp, opts); err != nil {
@@ -507,53 +459,10 @@ func (s *Service) sweepCore(ctx context.Context, req SweepRequest, emitLine func
 	return emitErr
 }
 
-// localOnlyKey marks a context whose sweeps must evaluate everything
-// themselves; see LocalOnly.
-type localOnlyKey struct{}
-
-// LocalOnly returns a context that disables cluster forwarding for sweeps
-// run under it. The peer evaluate endpoint wraps its requests with it so a
-// node that receives a forwarded cell always computes it locally — even if
-// its own ring view says a third node owns the cell — making forwarding
-// chains structurally impossible.
-func LocalOnly(ctx context.Context) context.Context {
-	return context.WithValue(ctx, localOnlyKey{}, true)
-}
-
-// singleCellBody builds the JSON-encoded single-cell SweepRequest for sweep
-// index i — the body a cluster forward carries to the owning node. The index
-// decomposition mirrors sweep.Run's worker loop, and the cell digest of the
-// rebuilt request equals digests[i] because every digest input (names
-// included — defaults are content-derived, never position-derived) travels
-// with the cell's own spec entries.
-func singleCellBody(req SweepRequest) func(i int) ([]byte, error) {
-	sc := req.Scenario
-	policies, banks, loads := len(sc.Solvers), len(sc.Banks), len(sc.Loads)
-	return func(i int) ([]byte, error) {
-		p := i % policies
-		c := i / policies
-		g := c / (banks * loads)
-		b := c / loads % banks
-		l := c % loads
-		one := spec.Scenario{
-			Banks:   []spec.Bank{sc.Banks[b]},
-			Loads:   []spec.Load{sc.Loads[l]},
-			Solvers: []spec.Solver{sc.Solvers[p]},
-		}
-		if len(sc.Grids) > 0 {
-			one.Grids = []spec.Grid{sc.Grids[g]}
-		}
-		return json.Marshal(SweepRequest{Scenario: one})
-	}
-}
-
 // lookupCell is the sweep Lookup hook: serve index i from the bulk probe, or
 // wait out another sweep's in-flight evaluation, or claim the cell for this
-// sweep. A claimed cell owned by another cluster node is forwarded to its
-// owner (the claim dedups concurrent forwards exactly like it dedups
-// concurrent evaluations); on any forward failure the claim stays ours and
-// the cell is evaluated locally (ok=false → the caller evaluates it).
-func (s *Service) lookupCell(ctx context.Context, i int, digests []string, cellLines []json.RawMessage, claims []*flight, fwdBody func(int) ([]byte, error), cancel <-chan struct{}, span *obs.Span) (sweep.Result, bool) {
+// sweep (ok=false → the caller evaluates it).
+func (s *Service) lookupCell(i int, digests []string, cellLines []json.RawMessage, claims []*flight, cancel <-chan struct{}, span *obs.Span) (sweep.Result, bool) {
 	if cellLines[i] != nil {
 		return sweep.Result{}, true
 	}
@@ -573,14 +482,6 @@ func (s *Service) lookupCell(ctx context.Context, i int, digests []string, cellL
 			s.flights[d] = f
 			s.flightMu.Unlock()
 			claims[i] = f
-			if fwdBody != nil && !s.cluster.OwnsCell(d) {
-				if line, ok := s.forwardCell(ctx, i, d, fwdBody, span); ok {
-					cellLines[i] = line
-					claims[i] = nil
-					s.resolveFlight(d, f, line)
-					return sweep.Result{}, true
-				}
-			}
 			return sweep.Result{}, false
 		}
 		s.flightMu.Unlock()
@@ -607,31 +508,6 @@ func (s *Service) lookupCell(ctx context.Context, i int, digests []string, cellL
 			return sweep.Result{}, false
 		}
 	}
-}
-
-// forwardCell asks the owning cluster peer to evaluate cell i and returns
-// its stored NDJSON line. False means the caller must evaluate locally —
-// the owner was unreachable, timed out, or answered garbage; the fallback
-// is counted but never fails the sweep.
-func (s *Service) forwardCell(ctx context.Context, i int, d string, fwdBody func(int) ([]byte, error), span *obs.Span) (json.RawMessage, bool) {
-	fwdSpan := span.Child("service.forward")
-	fwdSpan.Set("cell", shortDigest(d))
-	body, err := fwdBody(i)
-	var line json.RawMessage
-	if err == nil {
-		line, err = s.cluster.EvaluateCell(ctx, d, body)
-	}
-	if err != nil || len(line) == 0 {
-		s.forwardFallbacks.Add(1)
-		if err != nil {
-			fwdSpan.Set("error", err.Error())
-		}
-		fwdSpan.Set("outcome", "fallback").End()
-		return nil, false
-	}
-	s.cellsForwarded.Add(1)
-	fwdSpan.Set("outcome", "forwarded").End()
-	return line, true
 }
 
 // shortDigest abbreviates a cell digest for span attributes.

@@ -225,6 +225,51 @@ func TestLegacyFormatMigration(t *testing.T) {
 	}
 }
 
+// TestStoreExposesReplayCounters: replaying a file with one cell record, one
+// legacy whole-request record and one corrupt line loads the cell and counts
+// each of the other two in its own replay counter.
+func TestStoreExposesReplayCounters(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.ndjson")
+	good, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := good.PutCell("d1", json.RawMessage(`{"lifetime_min":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := good.Close(); err != nil {
+		t.Fatal(err)
+	}
+	legacy := `{"digest":"old-scheme","results":[{"lifetime_min":1}]}` + "\n"
+	corrupt := "{not json}\n"
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(legacy + corrupt); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	c := reopened.Counters()
+	if c.Quarantined != 1 {
+		t.Fatalf("Quarantined = %d, want 1", c.Quarantined)
+	}
+	if c.LegacySkipped != 1 {
+		t.Fatalf("LegacySkipped = %d, want 1", c.LegacySkipped)
+	}
+	if c.Entries != 1 {
+		t.Fatalf("Entries = %d, want 1", c.Entries)
+	}
+}
+
 // TestTornTrailingRecordSkipped: a crash mid-append leaves a truncated last
 // line; everything before it must still load. The tail here is a torn
 // cell-granular record.
