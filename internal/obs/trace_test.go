@@ -34,6 +34,35 @@ func TestStartSpanDisarmedDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go under -race.
+var raceEnabled bool
+
+// armedSpanAllocsPer128 bounds the allocations of 128 armed span lifecycles
+// (StartSpan, SetInt, End into the ring): 924 when the pin was introduced,
+// about 7.2 per span, the same count over 120 runs.
+const armedSpanAllocsPer128 = 924
+
+func TestArmedSpanAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	tr := NewTracer(1024)
+	ctx := WithTracer(context.Background(), tr)
+	allocs := testing.AllocsPerRun(20, func() {
+		for i := 0; i < 128; i++ {
+			_, sp := StartSpan(ctx, "armed")
+			sp.SetInt("i", int64(i))
+			sp.End()
+		}
+	})
+	if tr.Active() != 0 {
+		t.Fatalf("%d spans left active", tr.Active())
+	}
+	if allocs > armedSpanAllocsPer128 {
+		t.Errorf("128 armed spans: %v allocs (%.2f per span), ceiling %d", allocs, allocs/128, armedSpanAllocsPer128)
+	}
+}
+
 func TestSpanParentChildAndRing(t *testing.T) {
 	tr := NewTracer(8)
 	ctx := WithTracer(context.Background(), tr)

@@ -190,7 +190,8 @@ func TestOptimalDifferentialHeavy(t *testing.T) {
 // where the charge bound actually binds — high available-charge fraction, so
 // batteries die near the total-charge horizon — and holds the pruned search
 // to the live reference: same lifetime with a strictly smaller explored
-// state count and a non-zero pruned counter.
+// state count and a non-zero pruned counter. Both searches are serial and
+// deterministic, so their state counts are pinned exactly.
 func TestOptimalPruningDifferential(t *testing.T) {
 	hiC := battery.Params{Capacity: 1.2, C: 0.8, KPrime: 0.2, Label: "HiC"}
 	bats := battery.Bank(hiC, 3)
@@ -211,6 +212,9 @@ func TestOptimalPruningDifferential(t *testing.T) {
 	}
 	if stats.States >= ref.States {
 		t.Errorf("pruned+canonicalized search explored %d states, reference %d", stats.States, ref.States)
+	}
+	if stats.States != 1093 || ref.States != 17884 {
+		t.Errorf("explored %d states (reference %d), want 1093 (reference 17884)", stats.States, ref.States)
 	}
 }
 

@@ -9,7 +9,9 @@ import (
 
 // TestTable5Optimal pins the optimal lifetimes of Table 5 (two B1
 // batteries). The engine-exact values sit within 4 steps (0.08 min) of the
-// paper's; both columns are asserted.
+// paper's; both columns are asserted. The serial search is deterministic, so
+// the states it expands are pinned exactly too: a change that alters how
+// much work proves the optimum updates this table on purpose.
 func TestTable5Optimal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("optimal search over all loads is slow")
@@ -27,11 +29,20 @@ func TestTable5Optimal(t *testing.T) {
 		"ILs r1": 20.52, "ILs r2": 14.54,
 		"ILl 250": 78.96, "ILl 500": 18.68,
 	}
+	states := map[string]int64{
+		"CL 250": 529, "CL 500": 20, "CL alt": 40,
+		"ILs 250": 24048, "ILs 500": 28, "ILs alt": 85,
+		"ILs r1": 170, "ILs r2": 92,
+		"ILl 250": 139819, "ILl 500": 34,
+	}
 	for name, w := range want {
 		cl := compiled(t, name, 200)
-		got, schedule, err := Optimal(ds, cl)
+		got, schedule, stats, err := OptimalWithStats(ds, cl)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+		if stats.States != states[name] {
+			t.Errorf("%s: %d states expanded, want %d", name, stats.States, states[name])
 		}
 		if math.Abs(got-w) > 1e-9 {
 			t.Errorf("%s: optimal %v, want %v (engine-exact)", name, got, w)
@@ -47,6 +58,30 @@ func TestTable5Optimal(t *testing.T) {
 		if replayed != got {
 			t.Errorf("%s: schedule replays to %v, optimal says %v", name, replayed, got)
 		}
+	}
+}
+
+// TestOptimalAltPairAgainstReference pins the Table 5 showcase cell, two B1
+// batteries on ILs alt at the paper grid, against the reference search
+// (SearchOptions zero value): both prove the same 16.90 min optimum, and
+// the pruned, canonicalized search expands a fixed fraction of the
+// reference's states. Both counts are exact; the serial search is
+// deterministic.
+func TestOptimalAltPairAgainstReference(t *testing.T) {
+	ds, cl := b1Pair(t), compiled(t, "ILs alt", 200)
+	want, _, ref, err := OptimalWithOptions(ds, cl, SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lt, _, stats, err := OptimalWithStats(ds, cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(lt-16.90) > 1e-9 || lt != want {
+		t.Fatalf("optimal %v, reference %v, want 16.90 (Table 5)", lt, want)
+	}
+	if stats.States != 85 || ref.States != 253 {
+		t.Errorf("expanded %d states (reference %d), want 85 (reference 253)", stats.States, ref.States)
 	}
 }
 

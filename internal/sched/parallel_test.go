@@ -2,8 +2,10 @@ package sched
 
 import (
 	"encoding/json"
+	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"batsched/internal/battery"
 	"batsched/internal/dkibam"
@@ -132,7 +134,8 @@ func TestSerialStatsHaveNoParallelCounters(t *testing.T) {
 // the serial state count (private per-worker memos; heterogeneous states
 // collapse far less under canonicalization), where the shared memo keeps the
 // parallel search at ~1.0x — and holds the parallel result bit-identical to
-// the serial one, schedule bytes included.
+// the serial one, schedule bytes included. The serial state count is
+// deterministic and pinned exactly.
 func TestOptimalParallelMixedSixBatteries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("six-battery exact search")
@@ -147,6 +150,9 @@ func TestOptimalParallelMixedSixBatteries(t *testing.T) {
 	}
 	if stats.LPBounds == 0 {
 		t.Fatalf("mixed-bank search never consulted the LP bound: %+v", stats)
+	}
+	if stats.States != 1163595 {
+		t.Errorf("serial search expanded %d states, want 1163595", stats.States)
 	}
 	// The exact optimum must dominate every policy on the same bank.
 	for _, policy := range []Policy{Sequential(), RoundRobin(), BestAvailable()} {
@@ -181,4 +187,60 @@ func TestOptimalParallelMixedSixBatteries(t *testing.T) {
 	if parStats.States == 0 {
 		t.Fatalf("parallel search reported no work: %+v", parStats)
 	}
+}
+
+// minParallelSpeedup is the speedup floor of the four-worker search over the
+// serial one. Near-linear scaling lands above 3x; the floor at 2x leaves room
+// for shared-memo contention and runner noise while still catching a
+// work-stealing pool that degenerated to serial-with-overhead.
+const minParallelSpeedup = 2.0
+
+// TestOptimalParallelSpeedupFloor pins the homogeneous 4xB1 / CL 500 cell on
+// the paper grid: lifetime and serial state count always, and on machines
+// with at least four CPUs the four-worker search must beat the serial one by
+// minParallelSpeedup, best of three runs each.
+func TestOptimalParallelSpeedupFloor(t *testing.T) {
+	ds, cl := diffGrid(t, battery.Bank(battery.B1(), 4), "CL 500", 200, dkibam.PaperStepMin, dkibam.PaperUnitAmpMin)
+	lt, _, stats, err := OptimalWithStats(ds, cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(lt-10.94) > 1e-9 {
+		t.Fatalf("4xB1/CL 500 optimal %v, want 10.94", lt)
+	}
+	if stats.States != 22820 {
+		t.Errorf("serial search expanded %d states, want 22820", stats.States)
+	}
+	t.Run("speedup", func(t *testing.T) {
+		switch {
+		case testing.Short():
+			t.Skip("speedup timing")
+		case raceEnabled:
+			t.Skip("timings are not meaningful under -race")
+		case min(runtime.NumCPU(), runtime.GOMAXPROCS(0)) < 4:
+			t.Skipf("the speedup floor needs 4 CPUs, have %d (GOMAXPROCS %d)", runtime.NumCPU(), runtime.GOMAXPROCS(0))
+		}
+		bestOf3 := func(search func() (float64, Schedule, SearchStats, error)) time.Duration {
+			var best time.Duration
+			for i := 0; i < 3; i++ {
+				t0 := time.Now()
+				got, _, _, err := search()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != lt {
+					t.Fatalf("search returned %v, serial optimum %v", got, lt)
+				}
+				if d := time.Since(t0); i == 0 || d < best {
+					best = d
+				}
+			}
+			return best
+		}
+		serial := bestOf3(func() (float64, Schedule, SearchStats, error) { return OptimalWithStats(ds, cl) })
+		parallel := bestOf3(func() (float64, Schedule, SearchStats, error) { return OptimalParallelWithStats(ds, cl, 4) })
+		if speedup := float64(serial) / float64(parallel); speedup < minParallelSpeedup {
+			t.Errorf("4 workers: %.2fx over serial (%v vs %v), floor %.1fx", speedup, parallel, serial, minParallelSpeedup)
+		}
+	})
 }
