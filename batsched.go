@@ -336,18 +336,20 @@ type (
 func NewEvalService(opts EvalOptions) *EvalService { return service.New(opts) }
 
 // CellDigests returns the per-cell content digests of a sweep request in
-// the sweep's deterministic result order, plus the whole-request digest.
-// A cell digest covers the cell's resolved display names, its resolved
-// physics, and its solver's canonical identity with parameters — the
-// result store's keying rule (see DESIGN.md).
+// the sweep's deterministic result order — the result store's keys, and
+// what a job looks up to be served from the store — plus the request
+// digest, the digest of the ordered cell list. A cell digest covers the
+// cell's resolved display names, its resolved physics, and its solver's
+// canonical identity with parameters (see DESIGN.md).
 func CellDigests(req SweepRequest) (cells []string, request string, err error) {
 	return service.CellDigests(req)
 }
 
-// DigestSweep returns the content digest of a sweep request — the key of
-// the result store's whole-request index — plus the number of scenario
-// cells it expands to. The digest is derived from the ordered per-cell
-// digests; see CellDigests.
+// DigestSweep returns the content digest of a sweep request — the job
+// status's digest, equal for two requests exactly when they list the same
+// cells in the same order — plus the number of scenario cells it expands
+// to. The digest is derived from the ordered per-cell digests; see
+// CellDigests.
 func DigestSweep(req SweepRequest) (digest string, cases int, err error) {
 	return service.DigestSweep(req)
 }
@@ -356,12 +358,12 @@ func DigestSweep(req SweepRequest) (digest string, cases int, err error) {
 // content-addressed result store (internal/store): sweeps submitted as jobs
 // run on a bounded priority worker pool, report per-case progress (split
 // into evaluated and cache-served cells), cancel via context, dedup against
-// the store per cell — identical resubmissions are one whole-request index
-// probe, overlapping ones evaluate only their novel cells — and, with a
-// file-backed store, survive restarts. cmd/batserve exposes the job API
-// over HTTP (POST/GET/DELETE /v1/jobs, GET /v1/jobs/{id}/results,
-// GET /metrics). Wire the same store into EvalOptions.Store so synchronous
-// sweeps and jobs reuse each other's cells.
+// the store per cell — a submission whose cells are all stored is served
+// in one bulk lookup, overlapping ones evaluate only their novel cells —
+// and, with a file-backed store, survive restarts. cmd/batserve exposes the
+// job API over HTTP (POST/GET/DELETE /v1/jobs, GET /v1/jobs/{id}/results,
+// GET /metrics). Wire the same store into EvalOptions.Store: the service
+// writes the cells that jobs and synchronous sweeps both read.
 type (
 	// JobManager owns the job table, priority queue, and worker pool.
 	JobManager = jobs.Manager
@@ -443,7 +445,8 @@ func ParseStoreSyncPolicy(s string) (StoreSyncPolicy, error) { return store.Pars
 func OpenResultStoreWith(opts StoreOptions) (*ResultStore, error) { return store.OpenWith(opts) }
 
 // NewJobManager builds a job manager executing through svc and
-// deduplicating against st, and starts its worker pool.
+// deduplicating against st — svc's own store (EvalOptions.Store), which
+// commits the cells — and starts its worker pool.
 func NewJobManager(svc *EvalService, st *ResultStore, opts JobOptions) *JobManager {
 	return jobs.New(svc, st, opts)
 }

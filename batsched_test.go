@@ -343,7 +343,7 @@ func TestPublicJobsAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	svc := batsched.NewEvalService(batsched.EvalOptions{})
+	svc := batsched.NewEvalService(batsched.EvalOptions{Store: st})
 	mgr := batsched.NewJobManager(svc, st, batsched.JobOptions{Workers: 2})
 	defer mgr.Shutdown(context.Background())
 
@@ -389,7 +389,7 @@ func TestPublicJobsAPI(t *testing.T) {
 	if !re.FromStore {
 		t.Fatalf("identical resubmission re-ran: %+v", re)
 	}
-	if c := st.Counters(); c.Hits != 1 || c.Entries != 1 {
+	if c := st.Counters(); c.CellHits != 1 || c.Entries != 1 {
 		t.Fatalf("store counters %+v", c)
 	}
 	if m := mgr.Metrics(); m.CasesEvaluated != 1 {

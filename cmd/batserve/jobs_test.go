@@ -147,8 +147,10 @@ func TestJobEquivalenceAndDedup(t *testing.T) {
 		t.Fatal("cold job with optimal cells left batserve_search_states_total at 0")
 	}
 
-	// Identical resubmission: served from the store, zero extra cases.
+	// Identical resubmission: served from the store, zero extra cases, one
+	// cell hit per cell.
 	casesBefore := metricValue(t, ts, "batserve_job_cases_evaluated_total")
+	hitsBefore := metricValue(t, ts, "batserve_store_cell_hits_total")
 	resp, data := postJSON(t, ts.URL+"/v1/jobs", `{"scenario":`+jobScenario+`}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("resubmit status %d (want 200 for a store hit): %s", resp.StatusCode, data)
@@ -166,8 +168,8 @@ func TestJobEquivalenceAndDedup(t *testing.T) {
 	if after := metricValue(t, ts, "batserve_job_cases_evaluated_total"); after != casesBefore {
 		t.Fatalf("resubmission evaluated %d extra cases", after-casesBefore)
 	}
-	if hits := metricValue(t, ts, "batserve_store_hits_total"); hits != 1 {
-		t.Fatalf("store hits %d, want 1", hits)
+	if hits := metricValue(t, ts, "batserve_store_cell_hits_total") - hitsBefore; hits != 6 {
+		t.Fatalf("resubmission counted %d cell hits, want 6", hits)
 	}
 	_, reBytes := getBody(t, ts.URL+"/v1/jobs/"+re.ID+"/results")
 	if !bytes.Equal(reBytes, wantBytes) {
@@ -378,7 +380,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := batsched.NewEvalService(batsched.EvalOptions{MaxConcurrent: 8})
+	svc := batsched.NewEvalService(batsched.EvalOptions{MaxConcurrent: 8, Store: st})
 	mgr := batsched.NewJobManager(svc, st, batsched.JobOptions{Workers: 2})
 	sess := batsched.NewSessionManager(batsched.SessionOptions{CompileBank: svc.CompileBank})
 	srv := &http.Server{Handler: newHandler(&app{svc: svc, jobs: mgr, sessions: sess, start: time.Now()})}
@@ -443,13 +445,14 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if _, err := http.Get(base + "/healthz"); err == nil {
 		t.Fatal("server still accepting connections after drain")
 	}
-	// The store was synced and closed: a reopen sees the drained job's entry.
+	// The store was synced and closed: a reopen sees the cells of the
+	// drained sync request and job.
 	re, err := batsched.OpenResultStore(storePath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if c := re.Counters(); c.Entries != 1 {
-		t.Fatalf("store entries after drain %d, want 1", c.Entries)
+	if c := re.Counters(); c.Entries != 2 {
+		t.Fatalf("store entries after drain %d, want 2", c.Entries)
 	}
 }

@@ -147,11 +147,13 @@ func (a *app) initObs() {
 }
 
 // legacyMetrics bridges the pre-registry operational counters into the
-// exposition. Every line is byte-identical to what the fprintf-based
-// /metrics handler produced — names, label rendering, and order — so
-// existing scrape configs and dashboards keep working unchanged. It runs as
-// a registry collector: one snapshot of each layer per scrape, emitted
-// before the registry's native families.
+// exposition. Every line it emits is byte-identical to what the
+// fprintf-based /metrics handler produced — names, label rendering, and
+// order — so existing scrape configs and dashboards keep working. The
+// lines that handler had for the retired whole-request store index and the
+// per-policy step summaries are gone; README.md maps each to the series
+// that replaces it. It runs as a registry collector: one snapshot of each
+// layer per scrape, emitted before the registry's native families.
 func (a *app) legacyMetrics(e *obs.Exposition) {
 	jm := a.jobs.Metrics()
 	cs := a.svc.Stats()
@@ -168,9 +170,6 @@ func (a *app) legacyMetrics(e *obs.Exposition) {
 	e.Val("batserve_workers_busy", int64(jm.WorkersBusy))
 	e.Val("batserve_workers_total", int64(jm.WorkersTotal))
 	e.Val("batserve_store_entries", int64(jm.Store.Entries))
-	e.Val("batserve_store_requests", int64(jm.Store.Requests))
-	e.Val("batserve_store_hits_total", jm.Store.Hits)
-	e.Val("batserve_store_misses_total", jm.Store.Misses)
 	e.Val("batserve_store_cell_hits_total", jm.Store.CellHits)
 	e.Val("batserve_store_cell_misses_total", jm.Store.CellMisses)
 	e.Val("batserve_store_quarantined_total", jm.Store.Quarantined)
@@ -207,12 +206,5 @@ func (a *app) legacyMetrics(e *obs.Exposition) {
 	e.Val("batserve_sessions_evicted_total", int64(sm.Evicted))
 	e.Val("batserve_session_steps_total", int64(sm.Steps))
 	e.Val("batserve_session_events_dropped_total", int64(sm.EventsDropped))
-	for _, pl := range sm.PerPolicy {
-		e.ValL("batserve_session_policy_steps_total", "policy", pl.Policy, int64(pl.Steps))
-		e.ValL("batserve_session_policy_step_mean_nanos", "policy", pl.Policy, int64(pl.MeanNanos))
-		e.ValL("batserve_session_policy_step_p50_nanos", "policy", pl.Policy, int64(pl.P50Nanos))
-		e.ValL("batserve_session_policy_step_p95_nanos", "policy", pl.Policy, int64(pl.P95Nanos))
-		e.ValL("batserve_session_policy_step_p99_nanos", "policy", pl.Policy, int64(pl.P99Nanos))
-	}
 	e.Val("batserve_uptime_seconds", int64(time.Since(a.start).Seconds()))
 }

@@ -33,9 +33,6 @@ var legacyMetricNames = []string{
 	"batserve_workers_busy",
 	"batserve_workers_total",
 	"batserve_store_entries",
-	"batserve_store_requests",
-	"batserve_store_hits_total",
-	"batserve_store_misses_total",
 	"batserve_store_cell_hits_total",
 	"batserve_store_cell_misses_total",
 	"batserve_store_quarantined_total",

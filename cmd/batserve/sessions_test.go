@@ -217,8 +217,7 @@ func TestMetricsReportSessions(t *testing.T) {
 		"batserve_sessions_open 1\n",
 		"batserve_sessions_opened_total 1\n",
 		"batserve_session_steps_total 2\n",
-		`batserve_session_policy_steps_total{policy="roundrobin"} 2` + "\n",
-		`batserve_session_policy_step_mean_nanos{policy="roundrobin"} `,
+		`batserve_session_policy_step_seconds_count{policy="roundrobin"} 2` + "\n",
 	} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("metrics missing %q", want)
@@ -234,7 +233,7 @@ func TestShutdownClosesOpenSSE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := batsched.NewEvalService(batsched.EvalOptions{})
+	svc := batsched.NewEvalService(batsched.EvalOptions{Store: st})
 	mgr := batsched.NewJobManager(svc, st, batsched.JobOptions{})
 	sess := batsched.NewSessionManager(batsched.SessionOptions{CompileBank: svc.CompileBank})
 	srv := &http.Server{Handler: newHandler(&app{svc: svc, jobs: mgr, sessions: sess, start: time.Now()})}
@@ -288,7 +287,7 @@ func TestSessionBoundHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := batsched.NewEvalService(batsched.EvalOptions{})
+	svc := batsched.NewEvalService(batsched.EvalOptions{Store: st})
 	mgr := batsched.NewJobManager(svc, st, batsched.JobOptions{})
 	sess := batsched.NewSessionManager(batsched.SessionOptions{MaxSessions: 1, CompileBank: svc.CompileBank})
 	h := newHandler(&app{svc: svc, jobs: mgr, sessions: sess, start: time.Now()})

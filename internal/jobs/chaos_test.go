@@ -217,8 +217,8 @@ func TestJobTimeoutDefaultsAndCaps(t *testing.T) {
 // backend (I/O errors, torn writes, fsync failures) and the job runner
 // (transient errors, panics), the process never dies, and every job that
 // completes returns results byte-identical to the fault-free run. The
-// store file must reopen cleanly afterwards, and any request it serves
-// must match the reference bytes too.
+// store file must reopen cleanly afterwards, and any cell it serves must
+// match the reference bytes too.
 func TestChaosDifferentialFaultSchedule(t *testing.T) {
 	registerChaosSolvers()
 	req := Request{Scenario: spec.Scenario{
@@ -240,7 +240,10 @@ func TestChaosDifferentialFaultSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	digest := sub.Digest
+	cells, _, err := service.CellDigests(service.SweepRequest{Scenario: req.Scenario})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	completed, failed := 0, 0
 	var firedTotal int64
@@ -304,21 +307,17 @@ func TestChaosDifferentialFaultSchedule(t *testing.T) {
 		firedTotal += inj.Fired("")
 
 		// Crash-restart leg: reopen the battered file with a healthy
-		// backend. It must open cleanly, and if it serves the request, the
-		// bytes must match the reference exactly.
+		// backend. It must open cleanly, and every cell it serves must
+		// match the reference bytes exactly.
 		re, err := store.Open(path)
 		if err != nil {
 			t.Fatalf("seed %d: store did not reopen after chaos: %v", seed, err)
 		}
-		if lines, ok := re.GetRequest(digest); ok {
-			if len(lines) != len(refLines) {
-				t.Fatalf("seed %d: reopened store served short result (%d/%d)", seed, len(lines), len(refLines))
-			}
-			for k := range lines {
-				if string(lines[k]) != string(refLines[k]) {
-					t.Fatalf("seed %d: reopened store line %d diverged:\n got %s\nwant %s",
-						seed, k, lines[k], refLines[k])
-				}
+		lines, _ := re.LookupCells(cells)
+		for k, line := range lines {
+			if line != nil && string(line) != string(refLines[k]) {
+				t.Fatalf("seed %d: reopened store cell %d diverged:\n got %s\nwant %s",
+					seed, k, line, refLines[k])
 			}
 		}
 		re.Close()

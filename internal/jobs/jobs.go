@@ -1,18 +1,19 @@
 // Package jobs is the asynchronous orchestration layer over the evaluation
 // service: sweeps become durable jobs instead of blocking HTTP requests.
 //
-// A submitted sweep is digested per cell (service.CellDigests), checked
-// against the content-addressed result store's whole-request index, and —
-// on a miss — queued for a bounded priority worker pool that executes it
-// through service.SweepStreamLines. Jobs move queued → running →
-// done/failed/cancelled, expose per-case progress counters (split into
-// evaluated and cache-served cells), cancel via context, and preserve the
-// sweep's deterministic result ordering: the stored result lines are
-// byte-identical to what the synchronous NDJSON endpoint streams for the
-// same request. Completed jobs record the request → cell-digest index, so
-// an identical resubmission is served without touching the queue, a merely
-// overlapping one evaluates only the cells no earlier sweep produced, and
-// with a file-backed store both survive restarts.
+// A submitted sweep is digested per cell (service.CellDigests) and looked
+// up in the content-addressed result store in one bulk probe: when every
+// cell is stored — whichever job or synchronous sweep produced it — the
+// job is served at once, without touching the queue. Otherwise it is
+// queued for a bounded priority worker pool that executes it through
+// service.SweepStreamLines; the service commits each evaluated cell, so a
+// merely overlapping sweep evaluates only the cells no earlier sweep
+// produced, and with a file-backed store both survive restarts. Jobs move
+// queued → running → done/failed/cancelled, expose per-case progress
+// counters (split into evaluated and cache-served cells), cancel via
+// context, and preserve the sweep's deterministic result ordering: the
+// result lines are byte-identical to what the synchronous NDJSON endpoint
+// streams for the same request.
 package jobs
 
 import (
@@ -86,9 +87,9 @@ type Status struct {
 	// CachedCases is the work this job actually performed. A sweep
 	// overlapping an earlier one reports most of its cells here.
 	CachedCases int `json:"cached_cases,omitempty"`
-	// FromStore marks a submission served entirely from the result store's
-	// whole-request index — zero cells were evaluated and the job never
-	// entered the queue.
+	// FromStore marks a submission whose every cell was already in the
+	// result store: zero cells were evaluated and the job never entered the
+	// queue.
 	FromStore bool `json:"from_store,omitempty"`
 	// Error is the job-level failure; per-cell failures live in the result
 	// lines, exactly as on the synchronous endpoint. A recovered worker
@@ -152,10 +153,7 @@ type job struct {
 	priority int
 	req      Request
 	digest   string
-	// cellDigests are the per-cell content digests in result order; the
-	// completion commit writes them as the request's store index.
-	cellDigests []string
-	total       int
+	total    int
 
 	state     State
 	fromStore bool
@@ -270,8 +268,9 @@ type Manager struct {
 }
 
 // New builds a Manager executing jobs through svc, deduplicating against
-// st (which must be non-nil; use store.Open("") for a memory-only store),
-// and starts its worker pool.
+// st, and starts its worker pool. st must be non-nil (use store.Open("")
+// for a memory-only store) and should be svc's own store: the service
+// commits the cells jobs evaluate, and the manager only reads them.
 func New(svc *service.Service, st *store.Store, opts Options) *Manager {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -325,9 +324,9 @@ func New(svc *service.Service, st *store.Store, opts Options) *Manager {
 // Store exposes the manager's result store (for metrics and direct reads).
 func (m *Manager) Store() *store.Store { return m.st }
 
-// Submit validates and enqueues a sweep job. When the result store's
-// whole-request index already holds the request's digest, the returned job
-// is immediately done with FromStore set and no cell is evaluated.
+// Submit validates and enqueues a sweep job. When the result store already
+// holds every cell of the request, the returned job is immediately done
+// with FromStore set and no cell is evaluated.
 func (m *Manager) Submit(req Request) (Status, error) {
 	return m.SubmitContext(context.Background(), req)
 }
@@ -342,7 +341,7 @@ func (m *Manager) SubmitContext(ctx context.Context, req Request) (Status, error
 	if err != nil {
 		return Status{}, err
 	}
-	lines, hit := m.st.GetRequest(digest)
+	lines, hit := m.st.LookupAll(cells)
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -361,18 +360,17 @@ func (m *Manager) SubmitContext(ctx context.Context, req Request) (Status, error
 		}
 	}
 	j := &job{
-		id:          fmt.Sprintf("job-%d", m.seq),
-		seq:         m.seq,
-		priority:    req.Priority,
-		req:         req,
-		digest:      digest,
-		cellDigests: cells,
-		total:       len(cells),
-		timeout:     timeout,
-		link:        link,
-		submitted:   time.Now(),
-		heapIdx:     -1, // set by the heap on push
-		done:        make(chan struct{}),
+		id:        fmt.Sprintf("job-%d", m.seq),
+		seq:       m.seq,
+		priority:  req.Priority,
+		req:       req,
+		digest:    digest,
+		total:     len(cells),
+		timeout:   timeout,
+		link:      link,
+		submitted: time.Now(),
+		heapIdx:   -1, // set by the heap on push
+		done:      make(chan struct{}),
 	}
 	m.jobs[j.id] = j
 	m.order = append(m.order, j.id)
@@ -483,8 +481,8 @@ type Metrics struct {
 	QueueDepth, QueueBound int
 	// CasesEvaluated counts scenario cells actually executed by jobs;
 	// CasesFromCache counts job cells served from the cell-granular result
-	// store (whole-request store hits at submission add to neither — those
-	// jobs never run).
+	// store while running (submissions served whole from the store add to
+	// neither — those jobs never run).
 	CasesEvaluated int64
 	CasesFromCache int64
 	// WorkersBusy and WorkersTotal report pool utilization.
@@ -492,7 +490,7 @@ type Metrics struct {
 	// Retries counts transient-failure re-attempts; Panics counts worker
 	// panics recovered into failed jobs.
 	Retries, Panics int64
-	// Store reports the result store's entry/hit/miss counters.
+	// Store reports the result store's entry and cell hit/miss counters.
 	Store store.Counters
 }
 
@@ -616,28 +614,17 @@ func (m *Manager) run(ctx context.Context, j *job) {
 	ctx, span := obs.StartSpan(ctx, "jobs.run")
 	span.Set("job", j.id)
 	runStart := time.Now()
-	var lines []json.RawMessage
 	var err error
 	for attempt := 0; ; attempt++ {
 		m.mu.Lock()
 		j.attempts = attempt + 1
 		m.mu.Unlock()
-		lines, err = m.runAttempt(ctx, j)
+		err = m.runAttempt(ctx, j)
 		if err == nil || attempt >= m.maxRetries || !retryable(err) {
 			break
 		}
 		m.retries.Add(1)
 		m.sleep(retryBackoff(m.retryBase, attempt))
-	}
-
-	// Commit the whole-request index (and, when the service runs without a
-	// cell store of its own, the cell lines) before taking the manager
-	// lock: file I/O must not stall status reads. A store failure only
-	// costs future dedup; the job itself still succeeded, so it is surfaced
-	// on the job, not fatal to it.
-	var storeErr error
-	if err == nil {
-		storeErr = m.st.PutRequest(j.digest, j.cellDigests, lines)
 	}
 
 	var jpe *panicError
@@ -647,9 +634,6 @@ func (m *Manager) run(ctx context.Context, j *job) {
 	switch {
 	case err == nil:
 		m.finishLocked(j, StateDone, "")
-		if storeErr != nil {
-			j.errText = fmt.Sprintf("result store: %v", storeErr)
-		}
 	case errors.As(err, &jpe):
 		m.panics.Add(1)
 		m.finishLocked(j, StateFailed, fmt.Sprintf("panic: %v\n%s", jpe.value, jpe.stack))
@@ -678,7 +662,7 @@ func (m *Manager) run(ctx context.Context, j *job) {
 
 // runAttempt is one evaluation attempt: fault-injection gate, per-job
 // deadline, the sweep itself, with panics converted to errors.
-func (m *Manager) runAttempt(ctx context.Context, j *job) (lines []json.RawMessage, err error) {
+func (m *Manager) runAttempt(ctx context.Context, j *job) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = &panicError{value: p, stack: debug.Stack()}
@@ -690,7 +674,7 @@ func (m *Manager) runAttempt(ctx context.Context, j *job) (lines []json.RawMessa
 	j.lines, j.cached, j.stats = nil, 0, nil
 	m.mu.Unlock()
 	if err := m.inj.Check(OpJobRun); err != nil {
-		return nil, err
+		return err
 	}
 	actx := ctx
 	if j.timeout > 0 {
@@ -701,7 +685,7 @@ func (m *Manager) runAttempt(ctx context.Context, j *job) (lines []json.RawMessa
 	// Pre-sized from the grid dimensions; the emit callback's line buffer is
 	// reused by the service, so retention is exactly one copy per cell —
 	// the copy the job table has to own anyway.
-	lines = make([]json.RawMessage, 0, j.total)
+	lines := make([]json.RawMessage, 0, j.total)
 	cached := 0
 	err = m.svc.SweepStreamLines(actx, service.SweepRequest{Scenario: j.req.Scenario, Workers: j.req.Workers},
 		func(sl service.SweepLine) error {
@@ -732,7 +716,7 @@ func (m *Manager) runAttempt(ctx context.Context, j *job) (lines []json.RawMessa
 		// outcome classification can tell a deadline from a shutdown.
 		err = fmt.Errorf("%w (after %s)", ErrDeadline, j.timeout)
 	}
-	return lines, err
+	return err
 }
 
 // retryable reports whether an attempt error is transient: worth retrying

@@ -1,10 +1,12 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -71,13 +73,16 @@ func registerGateSolver() {
 	})
 }
 
+// newManager wires a memory store into both the service and the manager,
+// as batserve does: the service commits the cells jobs evaluate and the
+// manager serves whole requests from them.
 func newManager(t *testing.T, opts Options) (*Manager, *service.Service, *store.Store) {
 	t.Helper()
-	svc := service.New(service.Options{})
 	st, err := store.Open("")
 	if err != nil {
 		t.Fatal(err)
 	}
+	svc := service.New(service.Options{Store: st})
 	m := New(svc, st, opts)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -86,6 +91,35 @@ func newManager(t *testing.T, opts Options) (*Manager, *service.Service, *store.
 		st.Close()
 	})
 	return m, svc, st
+}
+
+// syncSweepLines runs req through the synchronous sweep path and returns
+// its lines (copied).
+func syncSweepLines(t *testing.T, svc *service.Service, req Request) []json.RawMessage {
+	t.Helper()
+	var lines []json.RawMessage
+	err := svc.SweepStreamLines(context.Background(), service.SweepRequest{Scenario: req.Scenario},
+		func(sl service.SweepLine) error {
+			lines = append(lines, append(json.RawMessage(nil), sl.Line...))
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lines
+}
+
+// sameLines fails the test unless got and want hold the same lines.
+func sameLines(t *testing.T, what string, got, want []json.RawMessage) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d lines, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if string(got[i]) != string(want[i]) {
+			t.Fatalf("%s: line %d differs:\ngot  %s\nwant %s", what, i, got[i], want[i])
+		}
+	}
 }
 
 func smallSweep() Request {
@@ -107,11 +141,11 @@ func waitDone(t *testing.T, m *Manager, id string) Status {
 	return st
 }
 
-// TestSubmitRunMatchesSweepBytes: a job's stored result lines are
-// byte-identical to what the synchronous sweep path emits for the same
-// request.
+// TestSubmitRunMatchesSweepBytes: a job's result lines are byte-identical
+// to what the synchronous sweep path of a service without a store emits
+// for the same request.
 func TestSubmitRunMatchesSweepBytes(t *testing.T) {
-	m, svc, _ := newManager(t, Options{Workers: 2})
+	m, _, _ := newManager(t, Options{Workers: 2})
 	req := smallSweep()
 	sub, err := m.Submit(req)
 	if err != nil {
@@ -135,24 +169,8 @@ func TestSubmitRunMatchesSweepBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want []json.RawMessage
-	err = svc.SweepStream(context.Background(), service.SweepRequest{Scenario: req.Scenario},
-		func(r service.Result) error {
-			b, err := json.Marshal(r)
-			want = append(want, b)
-			return err
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lines) != len(want) {
-		t.Fatalf("%d job lines vs %d sweep lines", len(lines), len(want))
-	}
-	for i := range want {
-		if string(lines[i]) != string(want[i]) {
-			t.Fatalf("line %d differs:\njob   %s\nsweep %s", i, lines[i], want[i])
-		}
-	}
+	want := syncSweepLines(t, service.New(service.Options{}), req)
+	sameLines(t, "job vs sync sweep", lines, want)
 }
 
 // TestResubmitServedFromStore is the dedup half of the acceptance: an
@@ -192,22 +210,122 @@ func TestResubmitServedFromStore(t *testing.T) {
 			t.Fatalf("stored line %d differs", i)
 		}
 	}
+	// One count per cell per submission: the first run's bulk probe missed
+	// all 4 cells, the resubmission found all 4 at submit.
 	mets := m.Metrics()
-	if mets.Store.Hits != 1 || mets.Store.Misses != 1 {
-		t.Fatalf("store counters %+v, want 1 hit / 1 miss", mets.Store)
+	if mets.Store.CellHits != 4 || mets.Store.CellMisses != 4 {
+		t.Fatalf("store counters %+v, want 4 cell hits / 4 cell misses", mets.Store)
 	}
+}
+
+// TestSyncSweepThenJobFromStore: a job whose cells a synchronous sweep
+// already produced is served from the store — no queue, no evaluation —
+// with the sweep's bytes.
+func TestSyncSweepThenJobFromStore(t *testing.T) {
+	m, svc, _ := newManager(t, Options{Workers: 1})
+	req := smallSweep()
+	want := syncSweepLines(t, svc, req)
+	sub, err := m.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sub.State != StateDone || !sub.FromStore {
+		t.Fatalf("job after a sync sweep of the same cells: %+v", sub)
+	}
+	if got := m.Metrics().CasesEvaluated; got != 0 {
+		t.Fatalf("job evaluated %d cases, want 0", got)
+	}
+	lines, err := m.Results(sub.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameLines(t, "store-served job vs sync sweep", lines, want)
+}
+
+// TestCorruptCellReevaluated: a request whose stored cell was lost to
+// quarantine is a miss, never a short result set — the job runs, evaluates
+// exactly the lost cell, and returns the same bytes as before.
+func TestCorruptCellReevaluated(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.ndjson")
+	open := func() *Manager {
+		st, err := store.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := New(service.New(service.Options{Store: st}), st, Options{Workers: 1})
+		t.Cleanup(func() { m.Shutdown(context.Background()); st.Close() })
+		return m
+	}
+	m1 := open()
+	first, err := m1.Submit(smallSweep())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, m1, first.ID)
+	want, err := m1.Results(first.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m1.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := m1.Store().Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Flip the last digit of the third cell line's lifetime: the JSON still
+	// parses, its checksum does not, so replay quarantines it.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := bytes.SplitAfter(data, []byte("\n"))
+	if len(recs) < 3 {
+		t.Fatalf("store file holds %d lines, want one per cell", len(recs))
+	}
+	at := bytes.Index(recs[2], []byte(`,"decisions"`)) - 1
+	if at < 0 {
+		t.Fatalf("no lifetime in %s", recs[2])
+	}
+	recs[2][at] ^= 1 // a digit stays a digit
+	if err := os.WriteFile(path, bytes.Join(recs, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m2 := open()
+	if q := m2.Store().Counters().Quarantined; q != 1 {
+		t.Fatalf("quarantined %d lines, want the corrupted one", q)
+	}
+	re, err := m2.Submit(smallSweep())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.FromStore {
+		t.Fatalf("request with a quarantined cell served from the store: %+v", re)
+	}
+	final := waitDone(t, m2, re.ID)
+	if final.State != StateDone || final.CachedCases != 3 {
+		t.Fatalf("rerun %+v, want done with 3 cached cases", final)
+	}
+	if got := m2.Metrics().CasesEvaluated; got != 1 {
+		t.Fatalf("rerun evaluated %d cells, want only the quarantined one", got)
+	}
+	lines, err := m2.Results(re.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameLines(t, "rerun vs first run", lines, want)
 }
 
 // TestStoreSurvivesRestart: a file-backed store serves a fresh manager (a
 // "restarted server") without re-running anything.
 func TestStoreSurvivesRestart(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "results.ndjson")
-	svc := service.New(service.Options{})
 	st, err := store.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(svc, st, Options{Workers: 1})
+	m := New(service.New(service.Options{Store: st}), st, Options{Workers: 1})
 	sub, err := m.Submit(smallSweep())
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +343,7 @@ func TestStoreSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2 := New(service.New(service.Options{}), st2, Options{Workers: 1})
+	m2 := New(service.New(service.Options{Store: st2}), st2, Options{Workers: 1})
 	defer func() { m2.Shutdown(context.Background()); st2.Close() }()
 	re, err := m2.Submit(smallSweep())
 	if err != nil {
@@ -397,9 +515,17 @@ func TestCancelRunning(t *testing.T) {
 	if _, err := m.Results(sub.ID); !errors.Is(err, ErrNotDone) {
 		t.Fatalf("results of cancelled job: %v", err)
 	}
-	// The store must not be poisoned with a partial result set.
-	if c := m.Store().Counters(); c.Entries != 0 {
-		t.Fatalf("cancelled job stored %d entries", c.Entries)
+	// The store holds only completed cells — whichever the sweep finished
+	// before the cancel reached it — never a cell marked canceled.
+	cells, _, err := service.CellDigests(service.SweepRequest{Scenario: req.Scenario})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, _ := m.Store().LookupCells(cells)
+	for i, line := range stored {
+		if bytes.Contains(line, []byte(sweep.ErrCanceled.Error())) {
+			t.Fatalf("cancelled job committed canceled cell %d: %s", i, line)
+		}
 	}
 }
 
@@ -547,10 +673,9 @@ func TestShutdownDrains(t *testing.T) {
 	setGate(gate)
 	defer setGate(nil)
 
-	svc := service.New(service.Options{})
 	st, _ := store.Open("")
 	defer st.Close()
-	m := New(svc, st, Options{Workers: 1})
+	m := New(service.New(service.Options{Store: st}), st, Options{Workers: 1})
 
 	a, _ := m.Submit(gatedRequest("sd-A", 0, 40))
 	waitState(t, m, a.ID, StateRunning)
@@ -581,10 +706,9 @@ func TestShutdownDeadlineCancelsRunning(t *testing.T) {
 	gate := make(chan struct{})
 	setGate(gate)
 
-	svc := service.New(service.Options{})
 	st, _ := store.Open("")
 	defer st.Close()
-	m := New(svc, st, Options{Workers: 1})
+	m := New(service.New(service.Options{Store: st}), st, Options{Workers: 1})
 
 	a, _ := m.Submit(gatedRequest("sdl-A", 0, 40))
 	waitState(t, m, a.ID, StateRunning)
@@ -629,32 +753,13 @@ func TestMetrics(t *testing.T) {
 	}
 }
 
-// newCellManager is newManager with the cell store wired into the service,
-// as batserve configures it in production.
-func newCellManager(t *testing.T, opts Options) (*Manager, *store.Store) {
-	t.Helper()
-	st, err := store.Open("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc := service.New(service.Options{Store: st})
-	m := New(svc, st, opts)
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		m.Shutdown(ctx)
-		st.Close()
-	})
-	return m, st
-}
-
 // TestOverlappingJobEvaluatesOnlyNovelCells is the issue's acceptance at
 // the job layer: a 90%-style overlapping resubmission reuses every shared
 // cell from the store (CachedCases on the status, zero extra evaluated
 // cases for them) and its result bytes are identical to a cold run of the
 // same request.
 func TestOverlappingJobEvaluatesOnlyNovelCells(t *testing.T) {
-	m, _ := newCellManager(t, Options{Workers: 1})
+	m, _, _ := newManager(t, Options{Workers: 1})
 
 	base := smallSweep() // 2 loads x 2 solvers = 4 cells
 	a, err := m.Submit(base)
@@ -679,7 +784,7 @@ func TestOverlappingJobEvaluatesOnlyNovelCells(t *testing.T) {
 		t.Fatalf("overlap job finished %s: %s", final.State, final.Error)
 	}
 	if final.FromStore {
-		t.Fatal("overlapping (not identical) job claimed a whole-request store hit")
+		t.Fatal("overlapping job with novel cells claimed a whole-request store hit")
 	}
 	if final.TotalCases != 6 || final.DoneCases != 6 || final.CachedCases != 4 {
 		t.Fatalf("overlap job progress %d/%d with %d cached, want 6/6 with 4",
@@ -697,7 +802,7 @@ func TestOverlappingJobEvaluatesOnlyNovelCells(t *testing.T) {
 	}
 
 	// Cold reference: the same overlap request on a fresh manager.
-	cold, _ := newCellManager(t, Options{Workers: 1})
+	cold, _, _ := newManager(t, Options{Workers: 1})
 	c, err := cold.Submit(overlap)
 	if err != nil {
 		t.Fatal(err)
@@ -707,15 +812,7 @@ func TestOverlappingJobEvaluatesOnlyNovelCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gotLines) != len(wantLines) {
-		t.Fatalf("line counts differ: %d vs %d", len(gotLines), len(wantLines))
-	}
-	for i := range wantLines {
-		if string(gotLines[i]) != string(wantLines[i]) {
-			t.Fatalf("line %d differs between incremental and cold runs:\nincremental: %s\ncold:        %s",
-				i, gotLines[i], wantLines[i])
-		}
-	}
+	sameLines(t, "incremental vs cold run", gotLines, wantLines)
 
 	// And the identical resubmission fast path still holds on top.
 	re, err := m.Submit(overlap)
@@ -723,13 +820,12 @@ func TestOverlappingJobEvaluatesOnlyNovelCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !re.FromStore || re.State != StateDone {
-		t.Fatalf("identical resubmission not served from the request index: %+v", re)
+		t.Fatalf("identical resubmission not served from the store: %+v", re)
 	}
 }
 
 // TestJobCellReuseAcrossRestart: with a file-backed store, an overlapping
-// job after a restart reuses the previous process's cells — not just whole
-// requests.
+// job after a restart reuses the previous process's cells.
 func TestJobCellReuseAcrossRestart(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "results.ndjson")
 	open := func() (*Manager, func()) {

@@ -73,7 +73,8 @@ func (p *preimage) sum() component { return sha256.Sum256(p.buf) }
 // solver — the same order the results stream in), plus the whole-request
 // digest, which is the digest of the ordered cell-digest list. Two requests
 // agree on the request digest exactly when they agree on every cell, which
-// is what keeps the store's whole-request index byte-identical to a replay.
+// is why serving a request from its stored cells is a byte-identical
+// replay.
 func CellDigests(req SweepRequest) (cells []string, request string, err error) {
 	sp, err := req.Scenario.Compile()
 	if err != nil {
@@ -188,9 +189,8 @@ func cellDigestsCompiled(sp sweep.Spec, solvers []spec.Solver) (cells []string, 
 	return cells, hex.EncodeToString(req.Sum(nil)), nil
 }
 
-// DigestSweep returns the content digest of a sweep request — the key of
-// the store's whole-request index — plus the number of scenario cells the
-// request expands to. The digest is derived from the per-cell digests; see
+// DigestSweep returns the content digest of a sweep request — a job's
+// digest — plus the number of scenario cells the request expands to. The digest is derived from the per-cell digests; see
 // CellDigests for the keying rule.
 func DigestSweep(req SweepRequest) (digest string, cases int, err error) {
 	cells, request, err := CellDigests(req)

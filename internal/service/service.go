@@ -226,11 +226,16 @@ func (s *Service) Evaluate(ctx context.Context, req RunRequest) (Result, error) 
 }
 
 // Sweep evaluates every cell of the scenario grid and returns the results
-// in deterministic nested order (grid, bank, load, solver).
+// in deterministic nested order (grid, bank, load, solver): the
+// SweepStreamLines lines, decoded.
 func (s *Service) Sweep(ctx context.Context, req SweepRequest) ([]Result, error) {
 	var out []Result
-	err := s.SweepStream(ctx, req, func(r Result) error {
-		out = append(out, r)
+	err := s.SweepStreamLines(ctx, req, func(sl SweepLine) error {
+		var res Result
+		if err := json.Unmarshal(sl.Line, &res); err != nil {
+			return fmt.Errorf("service: cell %d line corrupt: %w", len(out), err)
+		}
+		out = append(out, res)
 		return nil
 	})
 	if err != nil {
@@ -252,27 +257,15 @@ type SweepLine struct {
 	Stats *sched.SearchStats
 }
 
-// SweepStream evaluates the scenario grid and emits each result as soon as
-// it and all its predecessors in the deterministic order are done, so
-// consumers stream a stable order without waiting for the whole grid. An
-// emit error stops further emission and is returned.
-func (s *Service) SweepStream(ctx context.Context, req SweepRequest, emit func(Result) error) error {
-	return s.sweepCore(ctx, req, nil, emit)
-}
-
-// SweepStreamLines is SweepStream in line form: each cell arrives as its
-// encoded NDJSON line (appending '\n' to every line reproduces the
-// synchronous sweep endpoint's body byte for byte) plus whether it was
-// served from the cell store. This is the zero-copy path the HTTP handler
-// and the job layer consume — no per-line marshalling on their side, and
-// cached cells pass the stored bytes straight through.
+// SweepStreamLines evaluates the scenario grid and emits each cell as soon
+// as it and all its predecessors in the deterministic order are done, so
+// consumers stream a stable order without waiting for the whole grid. Each
+// cell arrives as its encoded NDJSON line (appending '\n' to every line
+// reproduces the synchronous sweep endpoint's body byte for byte) plus
+// whether it was served from the cell store — no per-line marshalling on
+// the consumer's side, and cached cells pass the stored bytes straight
+// through. An emit error stops further emission and is returned.
 func (s *Service) SweepStreamLines(ctx context.Context, req SweepRequest, emit func(SweepLine) error) error {
-	return s.sweepCore(ctx, req, emit, nil)
-}
-
-// sweepCore is the one sweep implementation behind SweepStream and
-// SweepStreamLines; exactly one of emitLine/emitRes is set.
-func (s *Service) sweepCore(ctx context.Context, req SweepRequest, emitLine func(SweepLine) error, emitRes func(Result) error) error {
 	sp, err := req.Scenario.Compile()
 	if err != nil {
 		return &InvalidRequestError{Err: err}
@@ -371,29 +364,17 @@ func (s *Service) sweepCore(ctx context.Context, req SweepRequest, emitLine func
 	var encBuf bytes.Buffer
 	enc := json.NewEncoder(&encBuf)
 
-	// emitOne delivers the cell at index i (already ready) in the caller's
-	// chosen form.
+	// emitOne delivers the cell at index i (already ready).
 	emitOne := func(i int) error {
 		r := &slots[i].r
 		if r.Cached {
-			line := cellLines[i]
-			if emitLine != nil {
-				return emitLine(SweepLine{Line: line, Cached: true})
-			}
-			var res Result
-			if err := json.Unmarshal(line, &res); err != nil {
-				return fmt.Errorf("service: stored cell %d corrupt: %w", i, err)
-			}
-			return emitRes(res)
+			return emit(SweepLine{Line: cellLines[i], Cached: true})
 		}
 		res := fromSweep(*r)
-		if emitRes != nil {
-			return emitRes(res)
-		}
 		// A committed cell was already marshalled once on the commit path;
 		// reuse the store-owned bytes instead of encoding twice.
 		if cellLines != nil && cellLines[i] != nil {
-			return emitLine(SweepLine{Line: cellLines[i], Stats: res.Stats})
+			return emit(SweepLine{Line: cellLines[i], Stats: res.Stats})
 		}
 		encBuf.Reset()
 		if err := enc.Encode(res); err != nil {
@@ -401,7 +382,7 @@ func (s *Service) sweepCore(ctx context.Context, req SweepRequest, emitLine func
 		}
 		line := encBuf.Bytes()
 		line = line[:len(line)-1] // Encode appends '\n'
-		return emitLine(SweepLine{Line: line, Stats: res.Stats})
+		return emit(SweepLine{Line: line, Stats: res.Stats})
 	}
 
 	opts := sweep.Options{
@@ -468,16 +449,20 @@ func (s *Service) lookupCell(i int, digests []string, cellLines []json.RawMessag
 	}
 	d := digests[i]
 	for {
-		// Re-probe without counters: the bulk probe already recorded this
-		// cell's miss; a hit here means another sweep committed it since
-		// (counted as a waited hit below only when we actually parked).
-		if line, ok := s.st.PeekCell(d); ok {
-			cellLines[i] = line
-			return sweep.Result{}, true
-		}
 		s.flightMu.Lock()
 		f, inFlight := s.flights[d]
 		if !inFlight {
+			// Re-probe the store under flightMu: a claimer commits its line
+			// before it removes its flight, so a cell with neither has not
+			// been committed and this sweep may claim it. The bulk probe
+			// counted this cell's store miss; a line found now is a hit for
+			// the service's ledger.
+			if line, ok := s.st.PeekCell(d); ok {
+				s.flightMu.Unlock()
+				cellLines[i] = line
+				s.cellHits.Add(1)
+				return sweep.Result{}, true
+			}
 			f = &flight{done: make(chan struct{})}
 			s.flights[d] = f
 			s.flightMu.Unlock()

@@ -334,13 +334,13 @@ func TestSweepStreamOrder(t *testing.T) {
 		Solvers: []spec.Solver{{Name: "sequential"}, {Name: "bestof"}},
 	}
 	s := New(Options{})
-	var got []string
-	err := s.SweepStream(context.Background(), SweepRequest{Scenario: sc, Workers: 4}, func(r Result) error {
-		got = append(got, r.Load+"/"+r.Solver)
-		return nil
-	})
+	results, err := s.Sweep(context.Background(), SweepRequest{Scenario: sc, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range results {
+		got = append(got, r.Load+"/"+r.Solver)
 	}
 	want := []string{
 		"CL alt/sequential", "CL alt/best-of-two",
@@ -361,9 +361,9 @@ func TestSweepStreamEmitError(t *testing.T) {
 	s := New(Options{})
 	wantErr := context.Canceled
 	calls := 0
-	err := s.SweepStream(context.Background(),
+	err := s.SweepStreamLines(context.Background(),
 		SweepRequest{Scenario: twoB1ILsAlt().Scenario()},
-		func(Result) error { calls++; return wantErr })
+		func(SweepLine) error { calls++; return wantErr })
 	if err != wantErr {
 		t.Fatalf("got %v, want the emit error", err)
 	}
@@ -399,8 +399,8 @@ func TestEmitErrorCancelsRemainingCells(t *testing.T) {
 	wantErr := context.Canceled
 	// Workers: 1 makes the sequence strict: cell 0 runs, its emit fails,
 	// and every later cell must be skipped as canceled — not executed.
-	err := s.SweepStream(context.Background(), SweepRequest{Scenario: sc, Workers: 1},
-		func(Result) error { emits++; return wantErr })
+	err := s.SweepStreamLines(context.Background(), SweepRequest{Scenario: sc, Workers: 1},
+		func(SweepLine) error { emits++; return wantErr })
 	if err != wantErr {
 		t.Fatalf("got %v, want the emit error", err)
 	}
@@ -489,7 +489,7 @@ func TestSweepCellStoreIncremental(t *testing.T) {
 	}
 }
 
-// TestSweepStreamDecodesStoredCells: the struct-emitting path must yield
+// TestSweepStreamDecodesStoredCells: the struct-returning path must yield
 // full results for cache-served cells too (the /v1/run 422 discrimination
 // and library consumers depend on the decoded fields).
 func TestSweepStreamDecodesStoredCells(t *testing.T) {

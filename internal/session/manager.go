@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -293,23 +292,6 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// PolicyLatency is one policy's step-latency ledger, distilled from its
-// histogram: the mean survives for the legacy gauge, and the tail — which a
-// mean hides entirely — is exposed as interpolated percentiles.
-type PolicyLatency struct {
-	// Policy is the online policy's registry name.
-	Policy string
-	// Steps counts the policy's completed steps; MeanNanos is the mean
-	// step latency over them.
-	Steps     uint64
-	MeanNanos uint64
-	// P50Nanos, P95Nanos, and P99Nanos are step-latency percentiles
-	// estimated from the histogram buckets by linear interpolation.
-	P50Nanos uint64
-	P95Nanos uint64
-	P99Nanos uint64
-}
-
 // Metrics is a counter snapshot for /metrics.
 type Metrics struct {
 	// Open is the current session count; the rest are lifetime counters.
@@ -321,8 +303,6 @@ type Metrics struct {
 	// EventsDropped counts step events dropped on full subscriber buffers
 	// across all sessions, open and closed.
 	EventsDropped uint64
-	// PerPolicy is sorted by policy name for stable exposition.
-	PerPolicy []PolicyLatency
 }
 
 // Metrics returns a snapshot of the manager's counters.
@@ -340,19 +320,5 @@ func (m *Manager) Metrics() Metrics {
 	for _, s := range m.sessions {
 		out.EventsDropped += s.DroppedEvents()
 	}
-	for name, h := range m.perPol {
-		snap := h.Snapshot()
-		pl := PolicyLatency{Policy: name, Steps: snap.Count()}
-		if pl.Steps > 0 {
-			pl.MeanNanos = uint64(snap.Mean() * 1e9)
-			pl.P50Nanos = uint64(snap.Quantile(0.50) * 1e9)
-			pl.P95Nanos = uint64(snap.Quantile(0.95) * 1e9)
-			pl.P99Nanos = uint64(snap.Quantile(0.99) * 1e9)
-		}
-		out.PerPolicy = append(out.PerPolicy, pl)
-	}
-	sort.Slice(out.PerPolicy, func(i, j int) bool {
-		return out.PerPolicy[i].Policy < out.PerPolicy[j].Policy
-	})
 	return out
 }

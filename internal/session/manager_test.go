@@ -8,6 +8,7 @@ import (
 
 	"batsched/internal/battery"
 	"batsched/internal/core"
+	"batsched/internal/obs"
 	"batsched/internal/spec"
 	"batsched/internal/sweep"
 )
@@ -173,10 +174,16 @@ func TestShutdownClosesSubscribers(t *testing.T) {
 
 func TestManagerMetrics(t *testing.T) {
 	compiles := 0
+	stepLat := map[string]*obs.Histogram{}
 	m := NewManager(Options{
 		CompileBank: func(bats []battery.Params, grid sweep.GridSpec) (*core.Compiled, error) {
 			compiles++
 			return core.CompileBank(bats, grid.StepMin, grid.UnitAmpMin)
+		},
+		StepLatency: func(policy string) *obs.Histogram {
+			h := obs.NewHistogram(nil)
+			stepLat[policy] = h
+			return h
 		},
 	})
 	defer m.Shutdown(t.Context())
@@ -204,10 +211,10 @@ func TestManagerMetrics(t *testing.T) {
 	if got.Open != 1 || got.Opened != 2 || got.Closed != 1 || got.Steps != 4 {
 		t.Fatalf("metrics = %+v", got)
 	}
-	if len(got.PerPolicy) != 2 ||
-		got.PerPolicy[0].Policy != "efq" || got.PerPolicy[0].Steps != 1 ||
-		got.PerPolicy[1].Policy != "sequential" || got.PerPolicy[1].Steps != 3 {
-		t.Fatalf("per-policy = %+v", got.PerPolicy)
+	// Each policy's steps land in its own step-latency histogram.
+	if len(stepLat) != 2 ||
+		stepLat["efq"].Snapshot().Count() != 1 || stepLat["sequential"].Snapshot().Count() != 3 {
+		t.Fatalf("per-policy step histograms = %+v", stepLat)
 	}
 	if compiles != 2 {
 		t.Fatalf("CompileBank hook ran %d times, want 2", compiles)

@@ -53,8 +53,8 @@ func mustPutCell(t *testing.T, s *store.Store, digest, line string) {
 	}
 }
 
-// seedStore populates a fresh file-backed store with n cells and one
-// request index over them, then closes it. Returns the cell digests.
+// seedStore populates a fresh file-backed store with n cells, one line
+// each, then closes it. Returns the cell digests.
 func seedStore(t *testing.T, path string, n int) []string {
 	t.Helper()
 	s, err := store.Open(path)
@@ -62,13 +62,9 @@ func seedStore(t *testing.T, path string, n int) []string {
 		t.Fatal(err)
 	}
 	digests := make([]string, n)
-	lines := make([]json.RawMessage, n)
 	for i := range digests {
 		digests[i] = fmt.Sprintf("cell-%03d", i)
-		lines[i] = json.RawMessage(fmt.Sprintf(`{"solver":"s%d","lifetime_min":%d.5}`, i, i))
-	}
-	if err := s.PutRequest("req-all", digests, lines); err != nil {
-		t.Fatal(err)
+		mustPutCell(t, s, digests[i], fmt.Sprintf(`{"solver":"s%d","lifetime_min":%d.5}`, i, i))
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -108,11 +104,6 @@ func TestReplayQuarantinesGarbageMidFile(t *testing.T) {
 	// The records after the corrupt line survived.
 	if _, ok := s.PeekCell("cell-003"); !ok {
 		t.Fatal("record after corrupt line was lost")
-	}
-	// The request index references the quarantined cell: must read as a
-	// clean miss, never a short result set.
-	if _, ok := s.GetRequest("req-all"); ok {
-		t.Fatal("request with a quarantined cell served a hit")
 	}
 }
 
@@ -359,13 +350,13 @@ func TestTornWriteRepair(t *testing.T) {
 
 // Crash-restart property: for random cut points through a store file — a
 // SIGKILL can land mid-write anywhere — reopening the prefix must succeed,
-// every served request must be complete (never short), every served cell
-// must be intact JSON, and the reopened store must accept new appends that
-// survive another reopen.
+// the served cells must be exactly the lines the cut kept whole (a prefix
+// of the append order), every served cell must be intact JSON, and the
+// reopened store must accept new appends that survive another reopen.
 func TestCrashRestartProperty(t *testing.T) {
 	dir := t.TempDir()
 	full := filepath.Join(dir, "full.ndjson")
-	seedStore(t, full, 8)
+	digests := seedStore(t, full, 8)
 	data, err := os.ReadFile(full)
 	if err != nil {
 		t.Fatal(err)
@@ -381,18 +372,16 @@ func TestCrashRestartProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut@%d: reopen: %v", cut, err)
 		}
-		if lines, ok := s.GetRequest("req-all"); ok {
-			if len(lines) != 8 {
-				t.Fatalf("cut@%d: short request hit: %d lines", cut, len(lines))
-			}
-			for _, l := range lines {
-				if !json.Valid(l) {
-					t.Fatalf("cut@%d: invalid stored line %q", cut, l)
-				}
-			}
+		whole := bytes.Count(data[:cut], []byte("\n"))
+		lines, hits := s.LookupCells(digests)
+		if hits != whole {
+			t.Fatalf("cut@%d: %d cells served, want the %d whole lines", cut, hits, whole)
 		}
-		for i := 0; i < 8; i++ {
-			if line, ok := s.PeekCell(fmt.Sprintf("cell-%03d", i)); ok && !json.Valid(line) {
+		for i, line := range lines {
+			if (line != nil) != (i < whole) {
+				t.Fatalf("cut@%d: cell %d served=%v, want only the first %d", cut, i, line != nil, whole)
+			}
+			if line != nil && !json.Valid(line) {
 				t.Fatalf("cut@%d: cell %d corrupt: %q", cut, i, line)
 			}
 		}

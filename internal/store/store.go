@@ -1,9 +1,9 @@
 // Package store is a content-addressed result store whose unit is a single
 // scenario cell: one NDJSON result line keyed by the cell's content digest
-// (see service.CellDigests for the keying rule). On top of the cell map it
-// keeps a whole-request index — request digest → ordered cell-digest list —
-// so an identical resubmission is still served in one probe, byte-identical
-// to the run that produced it.
+// (see service.CellDigests for the keying rule). The cell is the store's
+// only record: a whole request is served by looking up its ordered cell
+// digests (LookupAll), so an identical resubmission is byte-identical to
+// the run that produced it without an index of its own.
 //
 // Cell granularity is what makes overlapping sweeps incremental: the
 // paper's experiment grids overlap heavily (change one load in a 200-cell
@@ -31,9 +31,10 @@
 //     newline, turning it into one quarantinable line instead of letting
 //     the new record glue onto it.
 //
-// Legacy whole-request records written by the previous store format are
-// recognized and skipped on replay, as are CRC-less records from files
-// written before checksumming (accepted unverified).
+// CRC-less records from files written before checksumming are accepted
+// unverified. Lines of the retired whole-request kinds ("req" index
+// entries, older "digest" records) are not cells: replay quarantines them
+// like any other unrecognized line.
 package store
 
 import (
@@ -152,15 +153,13 @@ type Options struct {
 	Sleep func(time.Duration)
 }
 
-// Store maps cell digests to immutable result lines and request digests to
-// cell-digest lists. It is safe for concurrent use. The zero value is not
-// usable; call Open or OpenWith.
+// Store maps cell digests to immutable result lines. It is safe for
+// concurrent use. The zero value is not usable; call Open or OpenWith.
 type Store struct {
-	mu       sync.Mutex
-	cells    map[string]json.RawMessage
-	requests map[string][]string
-	f        File   // nil = memory-only
-	pend     []byte // scratch: records of the put being committed
+	mu    sync.Mutex
+	cells map[string]json.RawMessage
+	f     File   // nil = memory-only
+	pend  []byte // scratch: the record of the put being committed
 
 	// Write-circuit state (guarded by mu).
 	degraded bool      // breaker open: puts fail fast
@@ -178,61 +177,40 @@ type Store struct {
 	sleep    func(time.Duration)
 	rng      *rand.Rand // backoff jitter (guarded by mu)
 
-	hits, misses         atomic.Int64 // whole-request probes
 	cellHits, cellMisses atomic.Int64 // per-cell probes
 
 	appendLatency *obs.Histogram // commit latency, nil = not observed
 
-	quarantined  atomic.Int64 // corrupt complete lines skipped on replay
-	legacySkips  atomic.Int64 // legacy whole-request records skipped on replay
+	quarantined  atomic.Int64 // corrupt or unrecognized complete lines skipped on replay
 	appendErrors atomic.Int64 // puts that exhausted retries (breaker trips)
 	appendRetry  atomic.Int64 // individual append retries
 	droppedPuts  atomic.Int64 // puts rejected fast while degraded
 	syncErrors   atomic.Int64 // fsync failures (data written, durability degraded)
 }
 
-// record is one append-only file line. Exactly one of Cell, Req, or Digest
-// is set: a cell result, a request index, or a legacy (pre-cell-granular)
-// whole-request entry. CRC is a CRC-32C over the content fields; records
-// written before checksumming lack it and are accepted unverified.
+// record is one append-only file line: a cell digest and its result line.
+// CRC is a CRC-32C over both; records written before checksumming lack it
+// and are accepted unverified.
 type record struct {
-	// Cell + Result: one stored cell line.
 	Cell   string          `json:"cell,omitempty"`
 	Result json.RawMessage `json:"result,omitempty"`
-	// Req + Cells: the whole-request index entry.
-	Req   string   `json:"req,omitempty"`
-	Cells []string `json:"cells,omitempty"`
-	// Digest + Results: a legacy (pre-cell-granular) whole-request record,
-	// recognized so old files open cleanly but not loaded — the digest
-	// scheme changed, so nothing can ever look these entries up again.
-	Digest  string            `json:"digest,omitempty"`
-	Results []json.RawMessage `json:"results,omitempty"`
-	// CRC guards the content fields above. A true checksum of zero (1 in
-	// 2^32) is indistinguishable from "absent" and replays unverified —
-	// an accepted, harmless corner.
+	// CRC guards the fields above. A true checksum of zero (1 in 2^32) is
+	// indistinguishable from "absent" and replays unverified — an
+	// accepted, harmless corner.
 	CRC uint32 `json:"crc,omitempty"`
 }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // checksum covers the record's content fields with unambiguous framing
-// (a type tag plus NUL separators, so field boundaries can't alias).
+// (a tag plus a NUL separator, so field boundaries can't alias). Existing
+// files were checksummed with exactly this framing, so it must not change.
 func (rec *record) checksum() uint32 {
 	h := crc32.New(crcTable)
-	switch {
-	case rec.Cell != "":
-		io.WriteString(h, "c\x00")
-		io.WriteString(h, rec.Cell)
-		h.Write([]byte{0})
-		h.Write(rec.Result)
-	case rec.Req != "":
-		io.WriteString(h, "r\x00")
-		io.WriteString(h, rec.Req)
-		for _, c := range rec.Cells {
-			h.Write([]byte{0})
-			io.WriteString(h, c)
-		}
-	}
+	io.WriteString(h, "c\x00")
+	io.WriteString(h, rec.Cell)
+	h.Write([]byte{0})
+	h.Write(rec.Result)
 	return h.Sum32()
 }
 
@@ -244,14 +222,13 @@ func Open(path string) (*Store, error) {
 }
 
 // OpenWith builds a store from Options. Replay quarantines corrupt
-// complete lines (bad JSON, CRC mismatch, unrecognizable shape) — counted
+// complete lines (bad JSON, CRC mismatch, anything but a cell) — counted
 // in Counters.Quarantined — and truncates only a torn newline-less tail,
 // so a crash mid-append loses at most the put in progress and corruption
 // elsewhere in the file never takes the records after it down too.
 func OpenWith(opts Options) (*Store, error) {
 	s := &Store{
 		cells:    make(map[string]json.RawMessage),
-		requests: make(map[string][]string),
 		retries:  3,
 		base:     2 * time.Millisecond,
 		cap:      50 * time.Millisecond,
@@ -322,13 +299,11 @@ func OpenWith(opts Options) (*Store, error) {
 			s.quarantined.Add(1)
 			continue
 		}
-		if rec.CRC != 0 && rec.CRC != rec.checksum() {
+		if rec.Cell == "" || (rec.CRC != 0 && rec.CRC != rec.checksum()) {
 			s.quarantined.Add(1)
 			continue
 		}
-		if !s.replay(rec) {
-			s.quarantined.Add(1)
-		}
+		s.cells[rec.Cell] = rec.Result
 	}
 	if size, err := f.Size(); err == nil && size > good {
 		if err := f.Truncate(good); err != nil {
@@ -339,63 +314,6 @@ func OpenWith(opts Options) (*Store, error) {
 	s.f = f
 	s.lastSync = s.now()
 	return s, nil
-}
-
-// replay loads one file record into the maps, reporting whether the record
-// had a recognizable shape.
-func (s *Store) replay(rec record) bool {
-	switch {
-	case rec.Cell != "":
-		s.cells[rec.Cell] = rec.Result
-	case rec.Req != "":
-		s.requests[rec.Req] = rec.Cells
-	case rec.Digest != "":
-		// Legacy whole-request record: detected so the file opens cleanly
-		// and the replay offset advances past it, but deliberately not
-		// loaded. Its request digest was computed by the retired scheme, so
-		// no future submission can produce that key; the entry is dead
-		// weight, not a servable result. Counted so an operator can see how
-		// much of a file is unaddressable history.
-		s.legacySkips.Add(1)
-	default:
-		return false
-	}
-	return true
-}
-
-// GetRequest returns the ordered result lines stored under a whole-request
-// digest via the request index. It counts a request-level hit or miss;
-// callers probing for whole-request dedup should call it exactly once per
-// submission.
-func (s *Store) GetRequest(digest string) ([]json.RawMessage, bool) {
-	s.mu.Lock()
-	lines, ok := s.lookupRequestLocked(digest)
-	s.mu.Unlock()
-	if ok {
-		s.hits.Add(1)
-	} else {
-		s.misses.Add(1)
-	}
-	return lines, ok
-}
-
-func (s *Store) lookupRequestLocked(digest string) ([]json.RawMessage, bool) {
-	cells, ok := s.requests[digest]
-	if !ok {
-		return nil, false
-	}
-	lines := make([]json.RawMessage, len(cells))
-	for i, c := range cells {
-		line, ok := s.cells[c]
-		if !ok {
-			// Defensive: an index referencing a missing cell (possible via
-			// a quarantined record) must read as a miss, never as a short
-			// result set.
-			return nil, false
-		}
-		lines[i] = line
-	}
-	return lines, true
 }
 
 // GetCell returns the result line stored under one cell digest, counting a
@@ -413,9 +331,8 @@ func (s *Store) GetCell(digest string) (json.RawMessage, bool) {
 }
 
 // PeekCell is GetCell without advancing the hit/miss counters: an internal
-// re-probe (the service re-checks a cell after waiting out another sweep's
-// in-flight evaluation) must not distort the effectiveness counters the
-// bulk probe already recorded.
+// re-probe (the service re-checks a cell its bulk probe missed before
+// claiming it) must not count the cell a second time.
 func (s *Store) PeekCell(digest string) (json.RawMessage, bool) {
 	s.mu.Lock()
 	line, ok := s.cells[digest]
@@ -442,6 +359,28 @@ func (s *Store) LookupCells(digests []string) ([]json.RawMessage, int) {
 	s.cellHits.Add(int64(hits))
 	s.cellMisses.Add(int64(len(digests) - hits))
 	return lines, hits
+}
+
+// LookupAll serves a whole request from its ordered cell digests: the
+// stored lines aligned with digests when every cell is present, counted as
+// len(digests) cell hits. A request missing any cell — never stored, or
+// lost to quarantine — is a miss and returns nil, never a short result
+// set. A miss counts nothing: the evaluation that follows probes the cells
+// with LookupCells, which counts them.
+func (s *Store) LookupAll(digests []string) ([]json.RawMessage, bool) {
+	lines := make([]json.RawMessage, len(digests))
+	s.mu.Lock()
+	for i, d := range digests {
+		line, ok := s.cells[d]
+		if !ok {
+			s.mu.Unlock()
+			return nil, false
+		}
+		lines[i] = line
+	}
+	s.mu.Unlock()
+	s.cellHits.Add(int64(len(digests)))
+	return lines, true
 }
 
 // PutCell stores one result line under a cell digest. Entries are
@@ -472,65 +411,6 @@ func (s *Store) PutCell(digest string, line json.RawMessage) error {
 	return nil
 }
 
-// PutRequest records the whole-request index entry digest → cellDigests and
-// stores any cell lines the store does not hold yet (lines aligned with
-// cellDigests; lines may be nil when every cell is known to be present).
-// The index is immutable like the cells: a request already indexed is left
-// untouched. All records of one put commit in a single write; on failure
-// none of them land in memory.
-func (s *Store) PutRequest(digest string, cellDigests []string, lines []json.RawMessage) error {
-	if digest == "" {
-		return fmt.Errorf("store: empty request digest")
-	}
-	if lines != nil && len(lines) != len(cellDigests) {
-		return fmt.Errorf("store: %d lines for %d cell digests", len(lines), len(cellDigests))
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pend = s.pend[:0]
-	type newCell struct {
-		digest string
-		line   json.RawMessage
-	}
-	var adds []newCell
-	if lines != nil {
-		for i, cd := range cellDigests {
-			if cd == "" {
-				return fmt.Errorf("store: empty cell digest")
-			}
-			if _, dup := s.cells[cd]; dup {
-				continue
-			}
-			owned := append(json.RawMessage(nil), lines[i]...)
-			adds = append(adds, newCell{cd, owned})
-			if err := s.encodeLocked(record{Cell: cd, Result: owned}); err != nil {
-				return err
-			}
-		}
-	}
-	_, dupReq := s.requests[digest]
-	var cells []string
-	if !dupReq {
-		cells = append([]string(nil), cellDigests...)
-		if err := s.encodeLocked(record{Req: digest, Cells: cells}); err != nil {
-			return err
-		}
-	}
-	if len(adds) == 0 && dupReq {
-		return nil
-	}
-	if err := s.commitLocked(); err != nil {
-		return err
-	}
-	for _, a := range adds {
-		s.cells[a.digest] = a.line
-	}
-	if !dupReq {
-		s.requests[digest] = cells
-	}
-	return nil
-}
-
 // encodeLocked marshals one record (checksummed) into the pending buffer.
 // No-op for memory-only stores so the map-only path stays allocation-free.
 func (s *Store) encodeLocked(rec record) error {
@@ -549,9 +429,9 @@ func (s *Store) encodeLocked(rec record) error {
 
 var newline = []byte{'\n'}
 
-// commitLocked writes the pending records to the backend, enforcing the
+// commitLocked writes the pending record to the backend, enforcing the
 // write circuit, retrying transient failures, repairing a torn tail, and
-// applying the sync policy. The memory maps are updated by the caller only
+// applying the sync policy. The memory map is updated by the caller only
 // after it returns nil.
 func (s *Store) commitLocked() error {
 	if s.f == nil || len(s.pend) == 0 {
@@ -590,8 +470,8 @@ func (s *Store) commitLocked() error {
 		(s.syncPol == SyncInterval && now.Sub(s.lastSync) >= s.syncEvry)
 	if doSync {
 		if err := s.syncRetryLocked(); err != nil {
-			// The records ARE written (OS buffer), so the put is served and
-			// the maps update — only durability degraded. Trip the breaker
+			// The record IS written (OS buffer), so the put is served and
+			// the map updates — only durability degraded. Trip the breaker
 			// so further puts stop until the backend proves healthy again.
 			s.syncErrors.Add(1)
 			s.tripLocked()
@@ -673,21 +553,15 @@ func (s *Store) Degraded() bool {
 
 // Counters is a snapshot of the store's effectiveness and health counters.
 type Counters struct {
-	// Entries is the number of stored cell lines; Requests the number of
-	// indexed whole requests.
-	Entries  int
-	Requests int
-	// Hits and Misses count whole-request probes (GetRequest).
-	Hits, Misses int64
-	// CellHits and CellMisses count per-cell probes (GetCell, LookupCells);
-	// a sweep that reuses 180 of 200 cells advances CellHits by 180 and
-	// CellMisses by 20.
+	// Entries is the number of stored cell lines.
+	Entries int
+	// CellHits and CellMisses count per-cell probes (GetCell, LookupCells,
+	// LookupAll hits); a sweep that reuses 180 of 200 cells advances
+	// CellHits by 180 and CellMisses by 20.
 	CellHits, CellMisses int64
-	// Quarantined counts corrupt complete lines skipped on replay;
-	// LegacySkipped counts recognizable pre-cell-granular records skipped
-	// because their digest scheme is retired (dead weight, not servable).
-	Quarantined   int64
-	LegacySkipped int64
+	// Quarantined counts complete lines skipped on replay: corrupt ones and
+	// ones that are not cell records.
+	Quarantined int64
 	// AppendErrors counts puts that exhausted their retries (each trips
 	// the breaker); AppendRetries counts individual retry attempts;
 	// DroppedPuts counts puts rejected fast while degraded; SyncErrors
@@ -703,18 +577,14 @@ type Counters struct {
 // Counters returns a snapshot of the store counters.
 func (s *Store) Counters() Counters {
 	s.mu.Lock()
-	entries, requests := len(s.cells), len(s.requests)
+	entries := len(s.cells)
 	degraded := s.degraded
 	s.mu.Unlock()
 	return Counters{
 		Entries:       entries,
-		Requests:      requests,
-		Hits:          s.hits.Load(),
-		Misses:        s.misses.Load(),
 		CellHits:      s.cellHits.Load(),
 		CellMisses:    s.cellMisses.Load(),
 		Quarantined:   s.quarantined.Load(),
-		LegacySkipped: s.legacySkips.Load(),
 		AppendErrors:  s.appendErrors.Load(),
 		AppendRetries: s.appendRetry.Load(),
 		DroppedPuts:   s.droppedPuts.Load(),

@@ -39,36 +39,6 @@ func TestMemoryCellPutGet(t *testing.T) {
 	}
 }
 
-func TestRequestIndexPutGet(t *testing.T) {
-	s, _ := Open("")
-	defer s.Close()
-
-	if _, ok := s.GetRequest("r1"); ok {
-		t.Fatal("empty store claims a request hit")
-	}
-	cells := []string{"c1", "c2"}
-	want := lines(`{"a":1}`, `{"b":2}`)
-	if err := s.PutRequest("r1", cells, want); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := s.GetRequest("r1")
-	if !ok || len(got) != 2 || string(got[0]) != `{"a":1}` || string(got[1]) != `{"b":2}` {
-		t.Fatalf("got %v ok=%v", got, ok)
-	}
-	c := s.Counters()
-	if c.Entries != 2 || c.Requests != 1 || c.Hits != 1 || c.Misses != 1 {
-		t.Fatalf("counters %+v", c)
-	}
-	// An index may also be written over cells already present (nil lines).
-	if err := s.PutRequest("r2", []string{"c2", "c1"}, nil); err != nil {
-		t.Fatal(err)
-	}
-	got, ok = s.GetRequest("r2")
-	if !ok || string(got[0]) != `{"b":2}` || string(got[1]) != `{"a":1}` {
-		t.Fatalf("reordered index got %v ok=%v", got, ok)
-	}
-}
-
 func TestLookupCells(t *testing.T) {
 	s, _ := Open("")
 	defer s.Close()
@@ -80,6 +50,20 @@ func TestLookupCells(t *testing.T) {
 	}
 	if c := s.Counters(); c.CellHits != 2 || c.CellMisses != 1 {
 		t.Fatalf("counters %+v", c)
+	}
+
+	// LookupAll serves a request only whole, in the order asked, counting
+	// one hit per cell; a request missing any cell is a miss that counts
+	// nothing and never a short result set.
+	all, ok := s.LookupAll([]string{"c3", "c1"})
+	if !ok || len(all) != 2 || string(all[0]) != `{"c":3}` || string(all[1]) != `{"a":1}` {
+		t.Fatalf("LookupAll got %v ok=%v", all, ok)
+	}
+	if all, ok := s.LookupAll([]string{"c1", "c2", "c3"}); ok || all != nil {
+		t.Fatalf("LookupAll with a missing cell got %v ok=%v", all, ok)
+	}
+	if c := s.Counters(); c.CellHits != 4 || c.CellMisses != 1 {
+		t.Fatalf("counters after LookupAll %+v", c)
 	}
 }
 
@@ -113,29 +97,23 @@ func TestEmptyDigestRejected(t *testing.T) {
 	if err := s.PutCell("", json.RawMessage(`{}`)); err == nil {
 		t.Fatal("empty cell digest accepted")
 	}
-	if err := s.PutRequest("", nil, nil); err == nil {
-		t.Fatal("empty request digest accepted")
-	}
-	if err := s.PutRequest("r", []string{"a", "b"}, lines(`{}`)); err == nil {
-		t.Fatal("misaligned lines accepted")
-	}
 }
 
 // TestFileBackendSurvivesReopen is the durability half of the acceptance:
-// cells and request indexes put before Close are served after a fresh Open
-// of the same path, byte-identical.
+// cells put before Close are served after a fresh Open of the same path,
+// byte-identical, one by one and as a whole request.
 func TestFileBackendSurvivesReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "results.ndjson")
 	s, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := lines(`{"grid":"paper","lifetime_min":16.28}`, `{"grid":"paper","lifetime_min":16.9}`)
-	if err := s.PutRequest("digest-a", []string{"cell-1", "cell-2"}, want); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutCell("cell-3", json.RawMessage(`{"x":1}`)); err != nil {
-		t.Fatal(err)
+	want := lines(`{"grid":"paper","lifetime_min":16.28}`, `{"grid":"paper","lifetime_min":16.9}`, `{"x":1}`)
+	cells := []string{"cell-1", "cell-2", "cell-3"}
+	for i, d := range cells {
+		if err := s.PutCell(d, want[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -146,9 +124,9 @@ func TestFileBackendSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	got, ok := re.GetRequest("digest-a")
-	if !ok || len(got) != 2 {
-		t.Fatalf("digest-a after reopen: %v ok=%v", got, ok)
+	got, ok := re.LookupAll(cells)
+	if !ok || len(got) != 3 {
+		t.Fatalf("request after reopen: %v ok=%v", got, ok)
 	}
 	for i := range want {
 		if string(got[i]) != string(want[i]) {
@@ -158,76 +136,73 @@ func TestFileBackendSurvivesReopen(t *testing.T) {
 	if line, ok := re.GetCell("cell-2"); !ok || string(line) != string(want[1]) {
 		t.Fatalf("cell-2 after reopen: %s ok=%v", line, ok)
 	}
-	if c := re.Counters(); c.Entries != 3 || c.Requests != 1 {
+	if c := re.Counters(); c.Entries != 3 {
 		t.Fatalf("counters after reopen %+v", c)
 	}
 }
 
-// TestLegacyFormatMigration: a store file written by the previous
-// whole-request format (PR 4: {"digest":...,"results":[...]} records) opens
-// cleanly and accepts new cell-granular appends alongside the old records.
-// The legacy entries themselves are detected but not loaded — the digest
-// scheme changed with cell granularity, so no new submission can address
-// them; keeping the file readable (and its torn-tail handling intact) is
-// the migration, and the store rebuilds organically from new runs.
+// TestLegacyFormatMigration: a store file holding checksummed cell lines
+// next to the retired whole-request record kinds — a "req" index entry as
+// the previous format wrote it and an older {"digest":...,"results":[...]}
+// record — opens, serves every cell, and quarantines both old records in
+// place like any other line that is not a cell (here next to a corrupt
+// line). A torn tail after them still truncates back to the intact prefix,
+// not to zero.
 func TestLegacyFormatMigration(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "results.ndjson")
-	legacy := `{"digest":"old-req","results":[{"solver":"bestof","lifetime_min":16.28},{"solver":"optimal","lifetime_min":16.9}]}` + "\n"
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+	file := `{"cell":"cell-a","result":{"v":1},"crc":3394035549}` + "\n" +
+		`{"cell":"cell-b","result":{"v":2},"crc":3875830765}` + "\n" +
+		`{"req":"old-req","cells":["cell-a","cell-b"],"crc":3288015021}` + "\n" +
+		`{"digest":"old-scheme","results":[{"solver":"bestof","lifetime_min":16.28}]}` + "\n" +
+		"{not json}\n"
+	if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	cells := []string{"cell-a", "cell-b"}
 
 	s, err := Open(path)
 	if err != nil {
-		t.Fatalf("legacy-format store failed to open: %v", err)
+		t.Fatalf("store with old record kinds failed to open: %v", err)
 	}
-	if _, ok := s.GetRequest("old-req"); ok {
-		t.Fatal("retired-scheme digest served (nothing can ever compute this key again)")
+	got, ok := s.LookupAll(cells)
+	if !ok || string(got[0]) != `{"v":1}` || string(got[1]) != `{"v":2}` {
+		t.Fatalf("cells next to old records: %v ok=%v", got, ok)
 	}
-	if c := s.Counters(); c.Entries != 0 || c.Requests != 0 {
-		t.Fatalf("legacy records loaded as live entries: %+v", c)
+	if c := s.Counters(); c.Entries != 2 || c.Quarantined != 3 {
+		t.Fatalf("replay counters %+v, want 2 entries and 3 quarantined", c)
 	}
-	// New cell-granular entries append next to the legacy record.
-	if err := s.PutRequest("new-req", []string{"cell-a"}, lines(`{"v":1}`)); err != nil {
+	// New cells append next to the old records.
+	if err := s.PutCell("cell-c", json.RawMessage(`{"v":3}`)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	re, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if line, ok := re.GetCell("cell-a"); !ok || string(line) != `{"v":1}` {
-		t.Fatalf("new cell lost next to legacy records: %s ok=%v", line, ok)
-	}
-	if got, ok := re.GetRequest("new-req"); !ok || string(got[0]) != `{"v":1}` {
-		t.Fatalf("new request index lost next to legacy records: %v ok=%v", got, ok)
-	}
-	// The legacy line must still be part of the intact prefix: a torn tail
-	// appended after it truncates back to the legacy+new records, not to
-	// zero.
+	// The old lines stay part of the intact prefix: a torn tail appended
+	// after them truncates back to the cells and the quarantined lines.
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.WriteString(`{"cell":"torn","result":{"x"`)
 	f.Close()
-	third, err := Open(path)
+	re, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer third.Close()
-	if _, ok := third.GetCell("cell-a"); !ok {
-		t.Fatal("cell lost when truncating a torn tail behind legacy records")
+	defer re.Close()
+	if _, ok := re.LookupAll(append(cells, "cell-c")); !ok {
+		t.Fatal("cells lost when truncating a torn tail behind old records")
+	}
+	if c := re.Counters(); c.Entries != 3 || c.Quarantined != 3 {
+		t.Fatalf("counters after torn tail %+v, want 3 entries and 3 quarantined", c)
 	}
 }
 
-// TestStoreExposesReplayCounters: replaying a file with one cell record, one
-// legacy whole-request record and one corrupt line loads the cell and counts
-// each of the other two in its own replay counter.
+// TestStoreExposesReplayCounters: replaying a file with one good cell, one
+// older whole-request record and one corrupt line reports 1 entry and 2
+// quarantined lines, and the probe counters start from the replayed state.
 func TestStoreExposesReplayCounters(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "results.ndjson")
 	good, err := Open(path)
@@ -259,14 +234,23 @@ func TestStoreExposesReplayCounters(t *testing.T) {
 	}
 	defer reopened.Close()
 	c := reopened.Counters()
-	if c.Quarantined != 1 {
-		t.Fatalf("Quarantined = %d, want 1", c.Quarantined)
-	}
-	if c.LegacySkipped != 1 {
-		t.Fatalf("LegacySkipped = %d, want 1", c.LegacySkipped)
+	if c.Quarantined != 2 {
+		t.Fatalf("Quarantined = %d, want 2 (the old digest record and the corrupt line)", c.Quarantined)
 	}
 	if c.Entries != 1 {
 		t.Fatalf("Entries = %d, want 1", c.Entries)
+	}
+	if c.CellHits != 0 || c.CellMisses != 0 {
+		t.Fatalf("probe counters after replay %+v, want 0 hits and 0 misses", c)
+	}
+	if _, ok := reopened.GetCell("d1"); !ok {
+		t.Fatal("replayed cell d1 not served")
+	}
+	if _, ok := reopened.GetCell("old-scheme"); ok {
+		t.Fatal("old digest record served as a cell")
+	}
+	if c := reopened.Counters(); c.CellHits != 1 || c.CellMisses != 1 {
+		t.Fatalf("probe counters %+v, want 1 hit and 1 miss", c)
 	}
 }
 
@@ -277,7 +261,6 @@ func TestTornTrailingRecordSkipped(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "results.ndjson")
 	s, _ := Open(path)
 	s.PutCell("good", json.RawMessage(`{"ok":true}`))
-	s.PutRequest("req", []string{"good"}, nil)
 	s.Close()
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
@@ -292,9 +275,6 @@ func TestTornTrailingRecordSkipped(t *testing.T) {
 	}
 	if _, ok := re.GetCell("good"); !ok {
 		t.Fatal("intact record lost behind a torn tail")
-	}
-	if _, ok := re.GetRequest("req"); !ok {
-		t.Fatal("request index lost behind a torn tail")
 	}
 	if _, ok := re.GetCell("torn"); ok {
 		t.Fatal("torn record surfaced")
@@ -338,12 +318,11 @@ func TestConcurrentAccess(t *testing.T) {
 			s.PutCell(d, json.RawMessage(`{"w":1}`))
 			s.GetCell(d)
 			s.LookupCells([]string{d})
-			s.PutRequest("r-"+d, []string{d}, nil)
-			s.GetRequest("r-" + d)
+			s.LookupAll([]string{d})
 		}(i)
 	}
 	wg.Wait()
-	if c := s.Counters(); c.Entries != 4 || c.Requests != 4 {
+	if c := s.Counters(); c.Entries != 4 {
 		t.Fatalf("counters %+v", c)
 	}
 }
