@@ -563,8 +563,8 @@ type (
 	// Histogram is a fixed-bucket latency histogram; a nil Histogram is a
 	// no-op, so instrument hooks cost nothing when unset.
 	Histogram = obs.Histogram
-	// HistogramSnapshot is a point-in-time histogram copy with Mean and
-	// interpolated Quantile.
+	// HistogramSnapshot is a point-in-time copy of a histogram's buckets,
+	// count and sum.
 	HistogramSnapshot = obs.HistogramSnapshot
 	// Tracer records completed spans in a bounded ring.
 	Tracer = obs.Tracer

@@ -112,9 +112,10 @@ func (p *Problem) Compile() (*Compiled, error) {
 }
 
 // Compiled is the immutable compiled form of a problem: the per-battery
-// integer discretization tables and the three-array load encoding, shared by
-// every run. A Compiled is safe for concurrent use — all per-run state lives
-// in the dkibam.System each method creates.
+// integer discretization tables (shared process-wide, see dkibam.Discretize)
+// and the three-array load encoding, shared by every run. A Compiled is safe
+// for concurrent use — all per-run state lives in the dkibam.System each
+// method creates.
 type Compiled struct {
 	batteries []battery.Params
 	ld        load.Load
@@ -131,16 +132,9 @@ type Compiled struct {
 // Compile discretizes a bank and a load onto a grid, producing the shared
 // immutable artifact directly (without going through a Problem).
 func Compile(batteries []battery.Params, ld load.Load, stepMin, unitAmpMin float64) (*Compiled, error) {
-	if len(batteries) == 0 {
-		return nil, ErrNoBatteries
-	}
-	ds := make([]*dkibam.Discretization, len(batteries))
-	for i, b := range batteries {
-		d, err := dkibam.Discretize(b, stepMin, unitAmpMin)
-		if err != nil {
-			return nil, fmt.Errorf("battery %d: %w", i, err)
-		}
-		ds[i] = d
+	ds, err := discretizeBank(batteries, stepMin, unitAmpMin)
+	if err != nil {
+		return nil, err
 	}
 	cl, err := load.Compile(ld, stepMin, unitAmpMin)
 	if err != nil {
@@ -162,6 +156,20 @@ func Compile(batteries []battery.Params, ld load.Load, stepMin, unitAmpMin float
 // are useless here (no load to run). One bank artifact is safe to share
 // across any number of concurrent sessions.
 func CompileBank(batteries []battery.Params, stepMin, unitAmpMin float64) (*Compiled, error) {
+	ds, err := discretizeBank(batteries, stepMin, unitAmpMin)
+	if err != nil {
+		return nil, err
+	}
+	return &Compiled{
+		batteries: append([]battery.Params(nil), batteries...),
+		discs:     ds,
+		cl:        load.Compiled{StepMin: stepMin, UnitAmpMin: unitAmpMin},
+	}, nil
+}
+
+// discretizeBank looks up the shared table of each battery of a bank;
+// identical batteries get the same table.
+func discretizeBank(batteries []battery.Params, stepMin, unitAmpMin float64) ([]*dkibam.Discretization, error) {
 	if len(batteries) == 0 {
 		return nil, ErrNoBatteries
 	}
@@ -173,11 +181,7 @@ func CompileBank(batteries []battery.Params, stepMin, unitAmpMin float64) (*Comp
 		}
 		ds[i] = d
 	}
-	return &Compiled{
-		batteries: append([]battery.Params(nil), batteries...),
-		discs:     ds,
-		cl:        load.Compiled{StepMin: stepMin, UnitAmpMin: unitAmpMin},
-	}, nil
+	return ds, nil
 }
 
 // Batteries returns a copy of the battery parameters.

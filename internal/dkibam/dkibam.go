@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"batsched/internal/battery"
 )
@@ -61,8 +62,59 @@ var (
 	ErrCapacityGrain = errors.New("dkibam: capacity is not an integer number of charge units")
 )
 
-// Discretize precomputes the integer tables for a battery on the given grid.
+// discCacheCap bounds the process-wide table cache: requests may carry any
+// custom battery, so the cache is cleared whenever it is full. The paper's
+// workloads need a handful of entries (two presets on a few grids).
+const discCacheCap = 64
+
+// discKey identifies one table: the full parameter value (Label included,
+// so a cached table is field for field what a fresh build returns) and the
+// grid.
+type discKey struct {
+	p                   battery.Params
+	stepMin, unitAmpMin float64
+}
+
+var discCache struct {
+	sync.Mutex
+	m map[discKey]*Discretization
+}
+
+// Discretize returns the integer tables for a battery on the given grid.
+//
+// The tables depend only on (p, stepMin, unitAmpMin), so they are built at
+// most once per key and shared process-wide: repeated calls, every battery
+// of a bank and every artifact on the same grid get the same pointer. The
+// result is therefore immutable — callers must not write to any of its
+// fields, RecovTime included. Errors are not cached.
 func Discretize(p battery.Params, stepMin, unitAmpMin float64) (*Discretization, error) {
+	k := discKey{p, stepMin, unitAmpMin}
+	discCache.Lock()
+	d, ok := discCache.m[k]
+	discCache.Unlock()
+	if ok {
+		return d, nil
+	}
+	d, err := discretize(p, stepMin, unitAmpMin)
+	if err != nil {
+		return nil, err
+	}
+	discCache.Lock()
+	defer discCache.Unlock()
+	// A concurrent caller may have built the same key meanwhile; keep the
+	// first table so every caller shares one pointer.
+	if prev, ok := discCache.m[k]; ok {
+		return prev, nil
+	}
+	if discCache.m == nil || len(discCache.m) >= discCacheCap {
+		discCache.m = make(map[discKey]*Discretization, discCacheCap)
+	}
+	discCache.m[k] = d
+	return d, nil
+}
+
+// discretize builds the tables of Discretize without the cache.
+func discretize(p battery.Params, stepMin, unitAmpMin float64) (*Discretization, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

@@ -482,7 +482,8 @@ func TestCancelQueued(t *testing.T) {
 }
 
 // TestCancelRunning: cancelling mid-flight stops the remaining cells and
-// lands the job in cancelled, not done.
+// lands the job in cancelled, not done. With one worker at most the cell in
+// flight at Cancel runs; no cell starts after it.
 func TestCancelRunning(t *testing.T) {
 	registerGateSolver()
 	gate := make(chan struct{})
@@ -515,13 +516,20 @@ func TestCancelRunning(t *testing.T) {
 	if _, err := m.Results(sub.ID); !errors.Is(err, ErrNotDone) {
 		t.Fatalf("results of cancelled job: %v", err)
 	}
-	// The store holds only completed cells — whichever the sweep finished
-	// before the cancel reached it — never a cell marked canceled.
+	ran := gateLog()
+	if len(ran) > 1 {
+		t.Fatalf("cells started after Cancel: ran %v", ran)
+	}
+	// The store holds exactly the completed cells — never a cell marked
+	// canceled.
 	cells, _, err := service.CellDigests(service.SweepRequest{Scenario: req.Scenario})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored, _ := m.Store().LookupCells(cells)
+	stored, hits := m.Store().LookupCells(cells)
+	if hits != len(ran) {
+		t.Fatalf("store holds %d cells, %d ran (%v)", hits, len(ran), ran)
+	}
 	for i, line := range stored {
 		if bytes.Contains(line, []byte(sweep.ErrCanceled.Error())) {
 			t.Fatalf("cancelled job committed canceled cell %d: %s", i, line)

@@ -128,44 +128,3 @@ func (s HistogramSnapshot) Count() uint64 {
 	}
 	return n
 }
-
-// Mean returns the snapshot's mean observed value (0 when empty).
-func (s HistogramSnapshot) Mean() float64 {
-	n := s.Count()
-	if n == 0 {
-		return 0
-	}
-	return s.Sum / float64(n)
-}
-
-// Quantile estimates the q-quantile (0 <= q <= 1) by linear interpolation
-// within the bucket holding the target rank — the standard bucket-quantile
-// estimate. Ranks falling in the overflow bucket clamp to the largest
-// bound.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	total := s.Count()
-	if total == 0 || len(s.Bounds) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum float64
-	lo := 0.0
-	for i, b := range s.Bounds {
-		c := float64(s.Counts[i])
-		if c > 0 && cum+c >= rank {
-			frac := (rank - cum) / c
-			if frac < 0 {
-				frac = 0
-			}
-			return lo + (b-lo)*frac
-		}
-		cum += c
-		lo = b
-	}
-	return s.Bounds[len(s.Bounds)-1]
-}

@@ -24,37 +24,6 @@ func TestHistogramBucketsAndSum(t *testing.T) {
 	if math.Abs(h.Sum()-556.5) > 1e-9 {
 		t.Fatalf("Sum = %v, want 556.5", h.Sum())
 	}
-	if m := s.Mean(); math.Abs(m-556.5/5) > 1e-9 {
-		t.Fatalf("Mean = %v", m)
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 3, 4})
-	// 100 observations uniform in (0,4]: 25 per bucket.
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i) * 0.04)
-	}
-	s := h.Snapshot()
-	for _, tc := range []struct{ q, want, tol float64 }{
-		{0.5, 2.0, 0.1},
-		{0.95, 3.8, 0.1},
-		{0.99, 3.96, 0.1},
-		{1.0, 4.0, 1e-9},
-	} {
-		if got := s.Quantile(tc.q); math.Abs(got-tc.want) > tc.tol {
-			t.Errorf("Quantile(%v) = %v, want ~%v", tc.q, got, tc.want)
-		}
-	}
-	// Everything past the last bound clamps to it.
-	h2 := NewHistogram([]float64{1, 2})
-	h2.Observe(99)
-	if got := h2.Snapshot().Quantile(0.5); got != 2 {
-		t.Errorf("overflow quantile = %v, want 2", got)
-	}
-	if got := (HistogramSnapshot{}).Quantile(0.5); got != 0 {
-		t.Errorf("empty quantile = %v, want 0", got)
-	}
 }
 
 func TestHistogramNilIsNoOp(t *testing.T) {

@@ -298,21 +298,13 @@ func (s *Service) SweepStreamLines(ctx context.Context, req SweepRequest, emit f
 		return ctx.Err()
 	}
 
-	// cancel aborts the sweep's remaining cells when the caller goes away
+	// sweepCtx aborts the sweep's remaining cells when the caller goes away
 	// (ctx) or stops consuming (emit error) — abandoned requests must not
-	// keep burning CPU while holding a semaphore slot.
-	cancel := make(chan struct{})
-	var cancelOnce sync.Once
-	stop := func() { cancelOnce.Do(func() { close(cancel) }) }
-	finished := make(chan struct{})
-	defer close(finished)
-	go func() {
-		select {
-		case <-ctx.Done():
-			stop()
-		case <-finished:
-		}
-	}()
+	// keep burning CPU while holding a semaphore slot. Its Done channel is
+	// the sweep's cancel signal itself, so no cell starts once either has
+	// happened.
+	sweepCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
 
 	n := sp.Scenarios()
 	span.SetInt("cells", int64(n))
@@ -388,7 +380,7 @@ func (s *Service) SweepStreamLines(ctx context.Context, req SweepRequest, emit f
 	opts := sweep.Options{
 		Workers:     req.Workers,
 		Compile:     s.cachedCompile,
-		Cancel:      cancel,
+		Cancel:      sweepCtx.Done(),
 		CellLatency: s.cellLat,
 		Span:        span,
 		OnResult: func(i int, r sweep.Result) {
@@ -418,7 +410,7 @@ func (s *Service) SweepStreamLines(ctx context.Context, req SweepRequest, emit f
 			for next < n && slots[next].ready {
 				if err := emitOne(next); err != nil {
 					emitErr = err
-					stop()
+					cancel()
 					return
 				}
 				slots[next] = slot{} // free the buffered result early
@@ -428,7 +420,7 @@ func (s *Service) SweepStreamLines(ctx context.Context, req SweepRequest, emit f
 	}
 	if s.st != nil {
 		opts.Lookup = func(i int) (sweep.Result, bool) {
-			return s.lookupCell(i, digests, cellLines, claims, cancel, span)
+			return s.lookupCell(i, digests, cellLines, claims, sweepCtx.Done(), span)
 		}
 	}
 	if _, err := sweep.Run(sp, opts); err != nil {
