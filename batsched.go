@@ -308,15 +308,18 @@ func CLISolver(s string) (SolverSpec, error) { return spec.CLISolver(s) }
 func CLILoad(name string, horizon float64) (Load, error) { return spec.CLILoad(name, horizon) }
 
 // Evaluation service: a long-lived Service answers Evaluate/Sweep requests
-// with bounded concurrency and a shared Compiled-artifact cache keyed by
-// the resolved (bank, load, grid) content. cmd/batserve exposes it over
-// HTTP.
+// with bounded concurrency, serves cells from an optional result store, and
+// shares session bank artifacts (CompileBank) keyed by the resolved (bank,
+// grid) content. cmd/batserve exposes it over HTTP.
 type (
 	// EvalService is the long-lived evaluation service.
 	EvalService = service.Service
-	// EvalOptions tune an EvalService (concurrency bound, cache size).
+	// EvalOptions tune an EvalService (concurrency bound, result store,
+	// cell latency histogram).
 	EvalOptions = service.Options
-	// EvalStats reports the service's cache counters.
+	// EvalStats reports the service's counters: cells evaluated and served
+	// from the store, session bank artifacts built and shared, and search
+	// effort.
 	EvalStats = service.Stats
 	// EvalResult is one evaluated scenario cell in wire form.
 	EvalResult = service.Result

@@ -2,7 +2,7 @@
 // battery-scheduling reproduction. It serves the serializable scenario API
 // synchronously and as durable asynchronous jobs:
 //
-//	GET    /healthz              liveness: uptime, build, cache + queue gauges
+//	GET    /healthz              liveness: uptime, build, queue + session gauges
 //	GET    /readyz               readiness: 503 while draining or store-degraded
 //	GET    /metrics              plain-text operational counters + histograms
 //	GET    /debug/traces         recent spans (JSON), ?trace= filters one trace
@@ -49,8 +49,8 @@
 //
 // Usage:
 //
-//	batserve [-addr :8080] [-concurrency N] [-cache N]
-//	         [-job-workers N] [-queue N] [-store results.ndjson]
+//	batserve [-addr :8080] [-concurrency N] [-job-workers N]
+//	         [-queue N] [-store results.ndjson]
 //	         [-store-sync interval] [-store-sync-interval 1s]
 //	         [-max-sessions N] [-session-ttl 5m] [-drain 30s]
 //	         [-request-timeout 2m] [-max-inflight N]
@@ -84,7 +84,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	concurrency := flag.Int("concurrency", 0, "max concurrently executing requests (0 = number of CPUs)")
-	cacheSize := flag.Int("cache", 0, "compiled-artifact cache entries (0 = default)")
 	jobWorkers := flag.Int("job-workers", 0, "jobs executing concurrently (0 = number of CPUs)")
 	queueDepth := flag.Int("queue", 0, "max queued jobs (0 = default)")
 	retainJobs := flag.Int("retain-jobs", 0, "finished jobs kept in the table (0 = default; results stay in the store)")
@@ -133,7 +132,6 @@ func main() {
 	// on either path evaluates only what neither has produced.
 	svc := batsched.NewEvalService(batsched.EvalOptions{
 		MaxConcurrent: *concurrency,
-		CacheEntries:  *cacheSize,
 		Store:         st,
 		CellLatency:   kit.cellLatency,
 	})
@@ -144,9 +142,9 @@ func main() {
 		QueueWait:  kit.queueWait,
 		RunLatency: kit.runLatency,
 	})
-	// Sessions compile bank artifacts through the service so streaming
-	// sessions and sweeps on the same bank share one cached artifact (and
-	// its pooled systems).
+	// Sessions compile bank artifacts through the service so every
+	// streaming session on the same bank shares one artifact (and its
+	// pooled systems).
 	sess := batsched.NewSessionManager(batsched.SessionOptions{
 		MaxSessions: *maxSessions,
 		IdleTTL:     *sessionTTL,

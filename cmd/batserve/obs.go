@@ -150,10 +150,11 @@ func (a *app) initObs() {
 // exposition. Every line it emits is byte-identical to what the
 // fprintf-based /metrics handler produced — names, label rendering, and
 // order — so existing scrape configs and dashboards keep working. The
-// lines that handler had for the retired whole-request store index and the
-// per-policy step summaries are gone; README.md maps each to the series
-// that replaces it. It runs as a registry collector: one snapshot of each
-// layer per scrape, emitted before the registry's native families.
+// lines that handler had for the retired whole-request store index, the
+// per-policy step summaries and the retired cell-artifact cache's size are
+// gone; README.md maps each to the series that replaces it, if any. It runs
+// as a registry collector: one snapshot of each layer per scrape, emitted
+// before the registry's native families.
 func (a *app) legacyMetrics(e *obs.Exposition) {
 	jm := a.jobs.Metrics()
 	cs := a.svc.Stats()
@@ -185,7 +186,8 @@ func (a *app) legacyMetrics(e *obs.Exposition) {
 	e.Val("batserve_job_retries_total", jm.Retries)
 	e.Val("batserve_job_panics_total", jm.Panics)
 	e.Val("batserve_requests_shed_total", int64(a.shed.Load()))
-	e.Val("batserve_cache_entries", int64(cs.Entries))
+	// The cache counters count session bank artifacts (Service.CompileBank)
+	// only; sweeps never touch that map.
 	e.Val("batserve_cache_compiles_total", cs.Compiles)
 	e.Val("batserve_cache_hits_total", cs.Hits)
 	e.Val("batserve_sweep_cell_hits_total", cs.CellHits)

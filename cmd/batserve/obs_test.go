@@ -44,7 +44,6 @@ var legacyMetricNames = []string{
 	"batserve_job_retries_total",
 	"batserve_job_panics_total",
 	"batserve_requests_shed_total",
-	"batserve_cache_entries",
 	"batserve_cache_compiles_total",
 	"batserve_cache_hits_total",
 	"batserve_sweep_cell_hits_total",

@@ -178,18 +178,14 @@ var buildVersion = func() string {
 }()
 
 // handleHealth reports liveness plus the operational gauges a load balancer
-// or operator polls cheaply: uptime, build identity, compiled-cache
-// counters, and the job-queue depth.
+// or operator polls cheaply: uptime, build identity, the job-queue depth
+// and running jobs, and open sessions.
 func (a *app) handleHealth(w http.ResponseWriter, r *http.Request) {
-	st := a.svc.Stats()
 	jm := a.jobs.Metrics()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":          "ok",
 		"uptime_seconds":  int64(time.Since(a.start).Seconds()),
 		"build":           buildVersion,
-		"cache_entries":   st.Entries,
-		"cache_compiles":  st.Compiles,
-		"cache_hits":      st.Hits,
 		"job_queue_depth": jm.QueueDepth,
 		"jobs_running":    jm.JobsByState[batsched.JobRunning],
 		"sessions_open":   a.sessions.Metrics().Open,

@@ -106,7 +106,6 @@ func TestHealthz(t *testing.T) {
 		UptimeSeconds *int64 `json:"uptime_seconds"`
 		Build         string `json:"build"`
 		QueueDepth    *int   `json:"job_queue_depth"`
-		CacheEntries  int    `json:"cache_entries"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
@@ -406,8 +405,9 @@ func TestSweepBadScenario(t *testing.T) {
 }
 
 // TestConcurrentClientsShareCompiledArtifact drives many concurrent HTTP
-// clients at the same cell and asserts the service compiled it exactly
-// once.
+// clients at the same cell and asserts the service evaluated it exactly
+// once: one client compiles and evaluates the cell, and the rest are
+// served its stored line from the cell store or the in-flight table.
 func TestConcurrentClientsShareCompiledArtifact(t *testing.T) {
 	ts := newTestServer(t)
 	const clients = 12
@@ -447,12 +447,6 @@ func TestConcurrentClientsShareCompiledArtifact(t *testing.T) {
 		}
 	}
 	st := ts.svc.Stats()
-	if st.Compiles != 1 {
-		t.Fatalf("compiled %d times for %d identical clients, want 1", st.Compiles, clients)
-	}
-	// With the cell store wired in, identical clients do not even share the
-	// compiled artifact — they share the evaluated cell: one evaluation, the
-	// rest served from the store or the in-flight table.
 	if st.CellsEvaluated != 1 {
 		t.Fatalf("evaluated %d cells for %d identical clients, want 1", st.CellsEvaluated, clients)
 	}

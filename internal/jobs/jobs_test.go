@@ -62,7 +62,10 @@ func registerGateSolver() {
 						lt, err := c.PolicyLifetime(sched.BestAvailable())
 						gateMu.Lock()
 						// The sweep-level label is not visible here; the
-						// load horizon is, and tests pick distinct ones.
+						// compiled load length is. Paper loads snap their
+						// horizon to whole periods, so tests that read the
+						// log pick horizons that compile to distinct
+						// lengths (40, 80, 120 min for ILs alt).
 						gateRan = append(gateRan, fmt.Sprintf("h%.0f", c.Load().TotalDuration()))
 						gateMu.Unlock()
 						return lt, 0, err
@@ -495,8 +498,8 @@ func TestCancelRunning(t *testing.T) {
 		Banks: []spec.Bank{{Battery: &spec.Battery{Preset: "B1"}, Count: 2}},
 		Loads: []spec.Load{
 			{Name: "cr-1", Paper: "ILs alt", HorizonMin: 40},
-			{Name: "cr-2", Paper: "ILs alt", HorizonMin: 41},
-			{Name: "cr-3", Paper: "ILs alt", HorizonMin: 42},
+			{Name: "cr-2", Paper: "ILs alt", HorizonMin: 80},
+			{Name: "cr-3", Paper: "ILs alt", HorizonMin: 120},
 		},
 		Solvers: []spec.Solver{{Name: "test-gate"}},
 	}, Workers: 1}
@@ -517,6 +520,13 @@ func TestCancelRunning(t *testing.T) {
 		t.Fatalf("results of cancelled job: %v", err)
 	}
 	ran := gateLog()
+	seen := map[string]bool{}
+	for _, label := range ran {
+		if seen[label] {
+			t.Fatalf("gate log repeats %s, so it cannot say which cells ran: %v", label, ran)
+		}
+		seen[label] = true
+	}
 	if len(ran) > 1 {
 		t.Fatalf("cells started after Cancel: ran %v", ran)
 	}

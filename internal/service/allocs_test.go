@@ -42,10 +42,11 @@ func coldGrid() spec.Scenario {
 // fresh memory store and service, every cell digested, missed, evaluated and
 // committed. The discretization tables come from dkibam's shared cache,
 // warmed by AllocsPerRun's first call, so the count is the compile, sweep,
-// lookup and commit path alone: 2544–2551 over 1056 runs at GOMAXPROCS 1
-// to 8 (goroutine and pool reuse vary by a few). It must not allocate more
-// than that.
-const coldSweepAllocCeiling = 2551
+// lookup and commit path alone: with cells compiled through sweep.Run's
+// default core.Compile path it measured 2224–2231 over 1536 runs at
+// GOMAXPROCS 1 to 8, some of them beside a CPU-bound test run (goroutine
+// and pool reuse vary by a few). It must not allocate more than that.
+const coldSweepAllocCeiling = 2231
 
 // raceEnabled is set by race_test.go under -race.
 var raceEnabled bool
@@ -89,9 +90,11 @@ func TestColdSweepAllocationCeiling(t *testing.T) {
 // resubmission: a fresh memory store seeded with the 200 cells of coldGrid,
 // then overlapGrid against it, 180 cells served from the store and 20
 // evaluated. The count includes the seeding. With the discretization
-// tables shared it measured 563–566 over 1056 runs at GOMAXPROCS 1 to 8
-// (pool refills after a GC vary it).
-const resubmitSweepAllocCeiling = 566
+// tables shared and the evaluated cells compiled through sweep.Run's
+// default path it measured 522–525 over 1536 runs at GOMAXPROCS 1 to 8,
+// some of them beside a CPU-bound test run (pool refills after a GC vary
+// it).
+const resubmitSweepAllocCeiling = 525
 
 // overlapGrid is coldGrid with the ILs alt load swapped for an inline
 // 250 s on / 250 s off load outside the paper set: 180 of its 200 cells are

@@ -1,17 +1,17 @@
 // Package service is the long-lived evaluation layer between the
 // serializable scenario spec (internal/spec) and the sweep engine
 // (internal/sweep). A Service answers Evaluate (one scenario cell) and
-// Sweep (a whole grid) requests, bounds how many requests execute
-// concurrently, and caches Compiled artifacts keyed by the resolved
-// (bank, load, grid) content so that repeated and overlapping requests —
+// Sweep (a whole grid) requests and bounds how many requests execute
+// concurrently. With a result store, repeated and overlapping requests —
 // the service is meant to sit behind cmd/batserve and many concurrent
-// clients — share one discretization instead of recompiling per request.
+// clients — evaluate each cell once and are served its stored line after.
+// Sessions get their bank artifacts from CompileBank, so every session on
+// one bank shares one artifact.
 package service
 
 import (
 	"bytes"
 	"context"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -21,7 +21,6 @@ import (
 
 	"batsched/internal/battery"
 	"batsched/internal/core"
-	"batsched/internal/load"
 	"batsched/internal/obs"
 	"batsched/internal/sched"
 	"batsched/internal/spec"
@@ -35,10 +34,6 @@ type Options struct {
 	// requests block (or fail when their context is cancelled). <= 0 means
 	// runtime.NumCPU().
 	MaxConcurrent int
-	// CacheEntries bounds the compiled-artifact cache; <= 0 means 256.
-	// Eviction is FIFO: scenario grids revisit the same cells, so recency
-	// tracking buys little over insertion order here.
-	CacheEntries int
 	// Store, when set, is the cell-granular result store: every sweep
 	// probes it per cell before evaluating and commits each computed cell
 	// after, so overlapping sweeps evaluate only the cells no earlier sweep
@@ -52,50 +47,40 @@ type Options struct {
 	CellLatency *obs.Histogram
 }
 
-// DefaultCacheEntries is the compiled-cache bound when Options.CacheEntries
-// is unset.
-const DefaultCacheEntries = 256
+// bankCacheCap bounds the session bank-artifact map: sessions may open on
+// any custom bank, so the map is cleared whenever it is full, the rule
+// dkibam.Discretize follows for its tables.
+const bankCacheCap = 64
 
-// Service evaluates scenarios with bounded concurrency and a shared
-// compiled-artifact cache. It is safe for concurrent use.
+// Service evaluates scenarios with bounded concurrency and shares session
+// bank artifacts. It is safe for concurrent use.
 type Service struct {
 	sem     chan struct{}
-	maxSize int
 	st      *store.Store   // nil = no cell-granular result caching
 	cellLat *obs.Histogram // per-cell evaluation latency, nil = not observed
 
-	mu    sync.Mutex
-	cache map[string]*cacheEntry
-	order []string
+	// banks holds the session bank artifacts, keyed by bankKey.
+	bankMu   sync.Mutex
+	banks    map[string]*core.Compiled
+	compiles atomic.Int64
+	hits     atomic.Int64
 
 	// flights tracks cells being evaluated right now, keyed by cell digest.
 	// A sweep that misses the store claims the cell's flight before
 	// evaluating; a concurrent sweep that misses the same cell parks on the
-	// flight instead of evaluating it a second time — the cell-store
-	// mirror of the compiled cache's sync.Once-per-entry rule.
+	// flight instead of evaluating it a second time.
 	flightMu sync.Mutex
 	flights  map[string]*flight
-
-	compiles atomic.Int64
-	hits     atomic.Int64
 
 	cellHits       atomic.Int64
 	cellsEvaluated atomic.Int64
 	storeErrors    atomic.Int64
 
 	// search accumulates the optimal solvers' SearchStats across every cell
-	// this service actually evaluated (cache hits re-serve stored counters
+	// this service actually evaluated (store hits re-serve stored counters
 	// without re-counting them).
 	searchMu sync.Mutex
 	search   sched.SearchStats
-}
-
-// cacheEntry builds its artifact at most once; concurrent requests for the
-// same cell block on the first builder instead of compiling twice.
-type cacheEntry struct {
-	once sync.Once
-	c    *core.Compiled
-	err  error
 }
 
 // flight is one in-flight cell evaluation. The claimer either commits the
@@ -113,16 +98,10 @@ func New(opts Options) *Service {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	size := opts.CacheEntries
-	if size <= 0 {
-		size = DefaultCacheEntries
-	}
 	return &Service{
 		sem:     make(chan struct{}, workers),
-		maxSize: size,
 		st:      opts.Store,
 		cellLat: opts.CellLatency,
-		cache:   make(map[string]*cacheEntry),
 		flights: make(map[string]*flight),
 	}
 }
@@ -131,13 +110,14 @@ func New(opts Options) *Service {
 // configured).
 func (s *Service) Store() *store.Store { return s.st }
 
-// Stats reports cache effectiveness.
+// Stats reports the service's counters.
 type Stats struct {
-	// Compiles counts cells actually compiled; Hits counts requests served
-	// from the cache; Entries is the current cache size.
+	// Compiles counts session bank artifacts built and kept by CompileBank;
+	// Hits counts CompileBank calls answered with an artifact already kept.
+	// Sweeps never touch them: their cells compile through the sweep and
+	// are shared through the result store.
 	Compiles int64
 	Hits     int64
-	Entries  int
 	// CellHits counts sweep cells served from the result store (bulk probe
 	// plus waited-out in-flight evaluations); CellsEvaluated counts cells
 	// actually executed. Together they are the incremental-sweep ledger: a
@@ -150,23 +130,19 @@ type Stats struct {
 	StoreErrors int64
 	// Search is the cumulative optimal-search effort (states, prunes, LP
 	// bound evaluations, steals, shared-memo traffic) over every cell this
-	// service evaluated itself — cells served from the cache or the result
-	// store do not re-count the work that produced them.
+	// service evaluated itself — cells served from the result store do not
+	// re-count the work that produced them.
 	Search sched.SearchStats
 }
 
-// Stats returns a snapshot of the cache counters.
+// Stats returns a snapshot of the counters.
 func (s *Service) Stats() Stats {
-	s.mu.Lock()
-	entries := len(s.cache)
-	s.mu.Unlock()
 	s.searchMu.Lock()
 	search := s.search
 	s.searchMu.Unlock()
 	return Stats{
 		Compiles:       s.compiles.Load(),
 		Hits:           s.hits.Load(),
-		Entries:        entries,
 		CellHits:       s.cellHits.Load(),
 		CellsEvaluated: s.cellsEvaluated.Load(),
 		StoreErrors:    s.storeErrors.Load(),
@@ -273,7 +249,7 @@ func (s *Service) SweepStreamLines(ctx context.Context, req SweepRequest, emit f
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	// The sweep span covers semaphore wait through last emit. Cache outcome
+	// The sweep span covers semaphore wait through last emit. Store outcome
 	// and search effort are attached when it ends; localEval/localStats are
 	// written only under the sweep's serialized OnResult and read after
 	// sweep.Run returns.
@@ -379,7 +355,6 @@ func (s *Service) SweepStreamLines(ctx context.Context, req SweepRequest, emit f
 
 	opts := sweep.Options{
 		Workers:     req.Workers,
-		Compile:     s.cachedCompile,
 		Cancel:      sweepCtx.Done(),
 		CellLatency: s.cellLat,
 		Span:        span,
@@ -554,94 +529,53 @@ func fromSweep(r sweep.Result) Result {
 	return out
 }
 
-// cachedCompile is the sweep Compile hook: one Compiled artifact per
-// distinct (bank, load, grid) content, shared across requests.
-func (s *Service) cachedCompile(bank sweep.Bank, lc sweep.LoadCase, grid sweep.GridSpec) (*core.Compiled, error) {
-	key := cellKey(bank.Batteries, lc.Load, grid)
-
-	s.mu.Lock()
-	e, ok := s.cache[key]
-	if !ok {
-		e = &cacheEntry{}
-		s.cache[key] = e
-		s.order = append(s.order, key)
-		for len(s.order) > s.maxSize {
-			evict := s.order[0]
-			s.order = s.order[1:]
-			delete(s.cache, evict)
-		}
-	}
-	s.mu.Unlock()
-
-	if ok {
-		s.hits.Add(1)
-	}
-	e.once.Do(func() {
-		s.compiles.Add(1)
-		e.c, e.err = core.Compile(bank.Batteries, lc.Load, grid.StepMin, grid.UnitAmpMin)
-	})
-	return e.c, e.err
-}
-
 // CompileBank returns the shared streaming-bank artifact (an empty-load
-// core.Compiled; see core.CompileBank) for a resolved bank on a grid. It
-// uses the same bounded artifact cache as scenario cells, so every session
-// on the same bank content shares one discretization and one system pool.
-// The key is prefixed so a bank artifact can never collide with a scenario
-// cell's full artifact.
+// core.Compiled; see core.CompileBank) for a resolved bank on a grid, so
+// every session on the same bank content shares one artifact and its
+// pooled systems. An error is never kept. When two callers build the same
+// bank at once the first artifact kept wins, so every caller gets one
+// pointer.
 func (s *Service) CompileBank(bats []battery.Params, grid sweep.GridSpec) (*core.Compiled, error) {
-	key := "bank\x00" + cellKey(bats, load.Load{}, grid)
-
-	s.mu.Lock()
-	e, ok := s.cache[key]
-	if !ok {
-		e = &cacheEntry{}
-		s.cache[key] = e
-		s.order = append(s.order, key)
-		for len(s.order) > s.maxSize {
-			evict := s.order[0]
-			s.order = s.order[1:]
-			delete(s.cache, evict)
-		}
-	}
-	s.mu.Unlock()
-
+	key := bankKey(bats, grid)
+	s.bankMu.Lock()
+	c, ok := s.banks[key]
+	s.bankMu.Unlock()
 	if ok {
 		s.hits.Add(1)
+		return c, nil
 	}
-	e.once.Do(func() {
-		s.compiles.Add(1)
-		e.c, e.err = core.CompileBank(bats, grid.StepMin, grid.UnitAmpMin)
-	})
-	return e.c, e.err
+	c, err := core.CompileBank(bats, grid.StepMin, grid.UnitAmpMin)
+	if err != nil {
+		return nil, err
+	}
+	s.bankMu.Lock()
+	defer s.bankMu.Unlock()
+	if prev, ok := s.banks[key]; ok {
+		s.hits.Add(1)
+		return prev, nil
+	}
+	if s.banks == nil || len(s.banks) >= bankCacheCap {
+		s.banks = make(map[string]*core.Compiled, bankCacheCap)
+	}
+	s.banks[key] = c
+	s.compiles.Add(1)
+	return c, nil
 }
 
-// cellKey digests the resolved compile inputs — battery parameters, load
-// epochs, grid sizes — so that two spec spellings of the same cell (say, a
-// preset and its explicit parameters) share one artifact. Names are
-// deliberately excluded: they label results, not physics. The preimage is
-// binary (IEEE float bits) into a pooled buffer: the key is computed once
-// per cell per sweep, and the fmt-based hashing this replaces was a
-// measurable slice of the sweep submit path.
-func cellKey(bats []battery.Params, ld load.Load, grid sweep.GridSpec) string {
+// bankKey is the resolved compile input of a bank artifact — grid sizes and
+// battery parameters as IEEE float bits — so that two spec spellings of one
+// bank (say, a preset and its explicit parameters) share one artifact.
+// Names are deliberately excluded: they label results, not physics.
+func bankKey(bats []battery.Params, grid sweep.GridSpec) string {
 	p := preimagePool.Get().(*preimage)
 	defer preimagePool.Put(p)
 	p.buf = p.buf[:0]
-	p.tag('g')
 	p.f64(grid.StepMin)
 	p.f64(grid.UnitAmpMin)
-	p.tag('b')
 	for _, b := range bats {
 		p.f64(b.Capacity)
 		p.f64(b.C)
 		p.f64(b.KPrime)
 	}
-	p.tag('l')
-	for i := 0; i < ld.Len(); i++ {
-		s := ld.Segment(i)
-		p.f64(s.Duration)
-		p.f64(s.Current)
-	}
-	d := p.sum()
-	return hex.EncodeToString(d[:])
+	return string(p.buf)
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"batsched/internal/battery"
 	"batsched/internal/core"
 	"batsched/internal/sched"
 	"batsched/internal/spec"
@@ -136,195 +137,163 @@ func TestSweepMatchesLibrary(t *testing.T) {
 	}
 }
 
-// TestConcurrentCacheReuse is the issue's acceptance test: many concurrent
-// clients asking for the same (bank, load, grid) share a single Compiled
-// artifact.
+// resolveBank resolves a spec bank to the battery parameters sessions pass
+// to CompileBank.
+func resolveBank(t *testing.T, b spec.Bank) []battery.Params {
+	t.Helper()
+	_, bats, err := b.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bats
+}
+
+// TestConcurrentCacheReuse: concurrent sessions opening on one bank share a
+// single bank artifact — every caller gets the identical pointer, and one
+// artifact is kept.
 func TestConcurrentCacheReuse(t *testing.T) {
-	s := New(Options{MaxConcurrent: 8})
+	s := New(Options{})
+	bats := resolveBank(t, spec.Bank{Battery: &spec.Battery{Preset: "B1"}, Count: 2})
+	grid := sweep.PaperGrid()
 	const clients = 16
+	arts := make([]*core.Compiled, clients)
+	errs := make([]error, clients)
 	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	for i := 0; i < clients; i++ {
+	for i := range clients {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := s.Evaluate(context.Background(), twoB1ILsAlt())
-			if err == nil && res.Error != "" {
-				err = context.DeadlineExceeded // any sentinel; the text matters below
-			}
-			errs <- err
+			arts[i], errs[i] = s.CompileBank(bats, grid)
 		}()
 	}
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
+	for i := range clients {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if arts[i] != arts[0] {
+			t.Fatalf("client %d got artifact %p, client 0 got %p", i, arts[i], arts[0])
 		}
 	}
-	st := s.Stats()
-	if st.Compiles != 1 {
-		t.Fatalf("compiled %d times for %d identical clients, want 1", st.Compiles, clients)
-	}
-	if st.Hits != clients-1 {
-		t.Fatalf("cache hits %d, want %d", st.Hits, clients-1)
-	}
-	if st.Entries != 1 {
-		t.Fatalf("cache entries %d, want 1", st.Entries)
+	if st := s.Stats(); st.Compiles != 1 || st.Hits != clients-1 {
+		t.Fatalf("compiles %d hits %d for %d clients, want 1 and %d", st.Compiles, st.Hits, clients, clients-1)
 	}
 }
 
-// TestCacheKeySemantics: a preset and its spelled-out parameters are the
-// same physics and must share one artifact; a different grid must not.
+// TestCacheKeySemantics: a preset bank and its spelled-out parameters are
+// the same physics and share one bank artifact; a different grid does not.
 func TestCacheKeySemantics(t *testing.T) {
 	s := New(Options{})
-	ctx := context.Background()
-
-	if _, err := s.Evaluate(ctx, twoB1ILsAlt()); err != nil {
+	grid := sweep.PaperGrid()
+	preset, err := s.CompileBank(resolveBank(t, spec.Bank{Battery: &spec.Battery{Preset: "B1"}, Count: 2}), grid)
+	if err != nil {
 		t.Fatal(err)
 	}
-	explicit := twoB1ILsAlt()
-	explicit.Bank = spec.Bank{
+	explicit := resolveBank(t, spec.Bank{
 		Name: "explicit",
 		Batteries: []spec.Battery{
 			{Capacity: 5.5, C: 0.166, KPrime: 0.122},
 			{Capacity: 5.5, C: 0.166, KPrime: 0.122},
 		},
+	})
+	if got, err := s.CompileBank(explicit, grid); err != nil || got != preset {
+		t.Fatalf("spelled-out B1 bank: artifact %p (err %v), preset's %p", got, err, preset)
 	}
-	if _, err := s.Evaluate(ctx, explicit); err != nil {
+	coarser, err := s.CompileBank(explicit, sweep.GridSpec{StepMin: 0.02, UnitAmpMin: 0.02})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Compiles != 1 {
-		t.Fatalf("equivalent banks compiled %d times, want 1", st.Compiles)
+	if coarser == preset {
+		t.Fatal("distinct grid reused the paper grid's artifact")
 	}
-
-	coarser := twoB1ILsAlt()
-	coarser.Grid = &spec.Grid{StepMin: 0.02, UnitAmpMin: 0.02}
-	if _, err := s.Evaluate(ctx, coarser); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.Compiles != 2 {
-		t.Fatalf("distinct grid reused stale artifact (compiles %d, want 2)", st.Compiles)
+	if st := s.Stats(); st.Compiles != 2 || st.Hits != 1 {
+		t.Fatalf("compiles %d hits %d, want 2 and 1", st.Compiles, st.Hits)
 	}
 }
 
+// capBank is the i-th distinct one-battery bank of the bound tests: B1 with
+// its rate constant nudged, so each i is a key of its own.
+func capBank(i int) []battery.Params {
+	b := battery.B1()
+	b.KPrime += float64(i) * 1e-4
+	return []battery.Params{b}
+}
+
+// TestCacheEviction: past its cap the bank map starts over, so a bank built
+// before the clear is built afresh on its next request; an error is never
+// kept.
 func TestCacheEviction(t *testing.T) {
-	s := New(Options{CacheEntries: 2})
-	ctx := context.Background()
-	for _, name := range []string{"CL 250", "CL 500", "CL alt"} {
-		req := twoB1ILsAlt()
-		req.Load = spec.Load{Paper: name, HorizonMin: 50}
-		if _, err := s.Evaluate(ctx, req); err != nil {
+	s := New(Options{})
+	grid := sweep.PaperGrid()
+	if _, err := s.CompileBank(nil, grid); err == nil {
+		t.Fatal("empty bank compiled")
+	}
+	first, err := s.CompileBank(capBank(0), grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= bankCacheCap; i++ {
+		if _, err := s.CompileBank(capBank(i), grid); err != nil {
 			t.Fatal(err)
 		}
+		if n := len(s.banks); n > bankCacheCap {
+			t.Fatalf("map holds %d artifacts after %d banks, cap %d", n, i+1, bankCacheCap)
+		}
 	}
-	if st := s.Stats(); st.Entries != 2 {
-		t.Fatalf("cache entries %d, want bound 2", st.Entries)
+	again, err := s.CompileBank(capBank(0), grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again == first {
+		t.Fatal("bank 0 served from before the clear")
+	}
+	if st := s.Stats(); st.Compiles != bankCacheCap+2 || st.Hits != 0 {
+		t.Fatalf("compiles %d hits %d, want %d and 0", st.Compiles, st.Hits, bankCacheCap+2)
 	}
 }
 
-// evictionCell builds the i-th distinct cell of the eviction tests: inline
-// loads whose durations differ by construction, so each i resolves to its
-// own cache key (paper loads snap horizons to whole periods and would
-// collide).
-func evictionCell(i int) spec.Run {
-	req := twoB1ILsAlt()
-	req.Load = spec.Load{
-		Name:     fmt.Sprintf("evict-%d", i),
-		Segments: []spec.Segment{{DurationMin: 20 + float64(i), CurrentA: 0.25}},
-	}
-	return req
-}
-
-// TestCacheEvictionConcurrent hammers the FIFO eviction path from many
-// goroutines over far more distinct cells than the cache bound and asserts
-// the invariants the lock is supposed to protect: the entry count never
-// exceeds the bound, the insertion-order book matches the map exactly, and
-// every evaluation still returns a correct result (eviction must force
-// recompiles, never corrupt artifacts).
+// TestCacheEvictionConcurrent: many sessions opening on more distinct banks
+// than the cap never push the map past it, and every caller gets an
+// artifact of its own bank.
 func TestCacheEvictionConcurrent(t *testing.T) {
 	const (
-		bound   = 3
-		cells   = 12
-		clients = 24
-		rounds  = 3
+		clients = 8
+		banks   = bankCacheCap + bankCacheCap/2
 	)
-	s := New(Options{MaxConcurrent: 8, CacheEntries: bound})
-	ctx := context.Background()
-
+	s := New(Options{})
+	grid := sweep.PaperGrid()
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
-	for c := 0; c < clients; c++ {
+	for c := range clients {
 		wg.Add(1)
-		go func(c int) {
+		go func() {
 			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				// Distinct inline durations are distinct resolved loads,
-				// hence distinct cache keys; striding by the client index
-				// makes the goroutines fight over insertion and eviction
-				// order.
-				req := evictionCell((c + r) % cells)
-				res, err := s.Evaluate(ctx, req)
+			// Striding by the client index makes the goroutines race on
+			// inserts and on the clear at the cap.
+			for r := range banks {
+				bats := capBank((c*7 + r) % banks)
+				art, err := s.CompileBank(bats, grid)
 				if err != nil {
 					errs <- err
 					return
 				}
-				if res.Error != "" || res.LifetimeMin <= 0 {
-					errs <- fmt.Errorf("cell %d/%d: %+v", c, r, res)
+				if got := art.Batteries(); len(got) != 1 || got[0] != bats[0] {
+					errs <- fmt.Errorf("bank %v served artifact of %v", bats, got)
 					return
 				}
 			}
-			errs <- nil
-		}(c)
+		}()
 	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
+		t.Fatal(err)
 	}
-
-	checkBook := func() {
-		t.Helper()
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if len(s.cache) > bound {
-			t.Fatalf("cache holds %d entries, bound %d", len(s.cache), bound)
-		}
-		if len(s.cache) != len(s.order) {
-			t.Fatalf("order book has %d keys, cache %d", len(s.order), len(s.cache))
-		}
-		seen := map[string]bool{}
-		for _, key := range s.order {
-			if seen[key] {
-				t.Fatalf("key %s appears twice in the order book", key)
-			}
-			seen[key] = true
-			if _, ok := s.cache[key]; !ok {
-				t.Fatalf("order book lists evicted key %s", key)
-			}
-		}
+	s.bankMu.Lock()
+	defer s.bankMu.Unlock()
+	if n := len(s.banks); n > bankCacheCap {
+		t.Fatalf("map holds %d artifacts, cap %d", n, bankCacheCap)
 	}
-	checkBook()
-
-	// Deterministic tail: two serial passes over all 12 cells in order. With
-	// a 3-entry FIFO, visiting cell i always finds {i-3, i-2, i-1} cached, so
-	// at most the bound's worth of leftovers from the concurrent phase can
-	// hit — every other visit must recompile an evicted cell. That pins the
-	// eviction-and-recompile path without depending on goroutine timing.
-	before := s.compiles.Load()
-	for pass := 0; pass < 2; pass++ {
-		for i := 0; i < cells; i++ {
-			if _, err := s.Evaluate(ctx, evictionCell(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if delta := s.compiles.Load() - before; delta < 2*cells-bound {
-		t.Fatalf("serial eviction passes recompiled %d cells, want >= %d", delta, 2*cells-bound)
-	}
-	checkBook()
 }
 
 func TestSweepStreamOrder(t *testing.T) {
@@ -545,13 +514,12 @@ func registerSlowCountingSolver() {
 	testSlowExecutions.Store(0)
 }
 
-// TestConcurrentSweepsEvaluateSharedCellsOnce extends the compiled cache's
-// sync.Once-per-entry rule to evaluation: simultaneous sweeps sharing cells
-// must compile and evaluate each shared cell at most once — the in-flight
-// table parks the loser on the winner's flight instead of re-running the
-// cell. The slow solver keeps both sweeps in flight together; the assertion
-// holds for any interleaving (a sweep that arrives late reuses the store
-// instead of the flight).
+// TestConcurrentSweepsEvaluateSharedCellsOnce: simultaneous sweeps sharing
+// cells must compile and evaluate each shared cell at most once — the
+// in-flight table parks the loser on the winner's flight instead of
+// re-running the cell. The slow solver keeps both sweeps in flight
+// together; the assertion holds for any interleaving (a sweep that arrives
+// late reuses the store instead of the flight).
 func TestConcurrentSweepsEvaluateSharedCellsOnce(t *testing.T) {
 	registerSlowCountingSolver()
 	st, _ := store.Open("")

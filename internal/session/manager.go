@@ -42,8 +42,9 @@ type Options struct {
 	// minutes.
 	IdleTTL time.Duration
 	// CompileBank supplies the shared bank artifact for a resolved bank on
-	// a grid; nil means core.CompileBank uncached. cmd/batserve plugs the
-	// service's bounded artifact cache in here.
+	// a grid; nil means core.CompileBank, one artifact per session.
+	// cmd/batserve plugs in the service's CompileBank, whose bounded map
+	// hands every session on one bank the same artifact.
 	CompileBank func(bats []battery.Params, grid sweep.GridSpec) (*core.Compiled, error)
 	// StepLatency supplies the histogram that records a policy's step
 	// latency (seconds); nil means a standalone default-bucket histogram

@@ -177,9 +177,9 @@ type Options struct {
 	// Workers bounds the worker pool; <= 0 means runtime.NumCPU().
 	Workers int
 	// Compile, when set, overrides how a (grid, bank, load) cell is turned
-	// into its compiled artifact. Callers that evaluate many overlapping
-	// sweeps (the evaluation service) use it to share cached artifacts
-	// across runs. It must be safe for concurrent use.
+	// into its compiled artifact; nil means core.Compile. Tests use it to
+	// serve precompiled or counted cells. It must be safe for concurrent
+	// use.
 	Compile func(bank Bank, lc LoadCase, grid GridSpec) (*core.Compiled, error)
 	// Lookup, when set, is consulted once per scenario with the scenario's
 	// deterministic index before any evaluation. Returning ok serves the
