@@ -3,7 +3,6 @@ package main
 import (
 	"errors"
 	"net/http"
-	"time"
 
 	"batsched"
 )
@@ -62,17 +61,11 @@ func (a *app) handleJobResults(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	rc := http.NewResponseController(w)
-	defer func() { _ = rc.SetWriteDeadline(time.Time{}) }()
+	// The same batched writer and deadline rule as the sweep stream.
+	lw := newLineWriter(w)
+	defer lw.close()
 	for _, line := range lines {
-		_ = rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
-		// Two writes, not append(line, '\n'): the lines are shared across
-		// concurrent fetches of the same job, and append could write the
-		// newline into the shared backing array.
-		if _, err := w.Write(line); err != nil {
-			return
-		}
-		if _, err := w.Write([]byte{'\n'}); err != nil {
+		if lw.writeLine(line) != nil {
 			return
 		}
 	}

@@ -18,14 +18,116 @@ import (
 // open evaluation service should not buffer arbitrary uploads.
 const maxRequestBytes = 4 << 20
 
-// streamWriteTimeout bounds each NDJSON line write so a connected client
-// that stops reading cannot wedge a sweep's workers behind a full TCP
-// buffer.
-const streamWriteTimeout = 30 * time.Second
+// streamWriteTimeout bounds each batch of a streamed body: the deadline is
+// set when a batch's first line is written and again at its flush, so a
+// connected client that stops reading cannot wedge a sweep's workers behind
+// a full TCP buffer. A var only so tests can shorten it.
+var streamWriteTimeout = 30 * time.Second
+
+// An NDJSON body is flushed in batches, not per line: a batch goes out once
+// its oldest line is flushDelay old, or once flushBytes are buffered.
+const (
+	flushDelay = 2 * time.Millisecond
+	flushBytes = 32 << 10
+)
 
 // nl terminates NDJSON lines; a shared slice so streaming writes do not
 // allocate per line.
 var nl = []byte{'\n'}
+
+// lineWriter streams NDJSON lines in batches. A timer flushes a batch
+// flushDelay after its first line, so no line waits behind a slow cell;
+// the writer and the timer share mu, and once close returns the timer
+// never touches the ResponseWriter again.
+type lineWriter struct {
+	w       http.ResponseWriter
+	rc      *http.ResponseController
+	flusher http.Flusher
+
+	mu      sync.Mutex
+	timer   *time.Timer
+	pending int   // bytes written since the last flush
+	err     error // first write error; the stream is dead after it
+	done    bool
+}
+
+func newLineWriter(w http.ResponseWriter) *lineWriter {
+	flusher, _ := w.(http.Flusher)
+	return &lineWriter{w: w, rc: http.NewResponseController(w), flusher: flusher}
+}
+
+// writeLine writes line and its newline terminator. Two writes, not
+// append(line, '\n'): lines may be shared (a done job's results serve
+// concurrent fetches), and append could write into a shared backing array.
+func (lw *lineWriter) writeLine(line []byte) error {
+	lw.mu.Lock()
+	defer lw.mu.Unlock()
+	if lw.err != nil {
+		return lw.err
+	}
+	first := lw.pending == 0
+	if first {
+		// net/http's buffer can reach the socket on any Write, so the
+		// batch's deadline is armed before its first line, not only at
+		// its flush.
+		_ = lw.rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
+	}
+	if _, err := lw.w.Write(line); err != nil {
+		lw.err = err
+		return err
+	}
+	if _, err := lw.w.Write(nl); err != nil {
+		lw.err = err
+		return err
+	}
+	lw.pending += len(line) + 1
+	switch {
+	case lw.pending >= flushBytes:
+		lw.flushLocked()
+	case first && lw.timer == nil:
+		lw.timer = time.AfterFunc(flushDelay, lw.flushTimer)
+	case first:
+		lw.timer.Reset(flushDelay)
+	}
+	return nil
+}
+
+// flushTimer is the timer's half: flush whatever the batch holds, unless
+// the handler is done with the writer.
+func (lw *lineWriter) flushTimer() {
+	lw.mu.Lock()
+	defer lw.mu.Unlock()
+	if !lw.done && lw.err == nil && lw.pending > 0 {
+		lw.flushLocked()
+	}
+}
+
+func (lw *lineWriter) flushLocked() {
+	if lw.timer != nil {
+		lw.timer.Stop()
+	}
+	_ = lw.rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
+	if lw.flusher != nil {
+		lw.flusher.Flush()
+	}
+	lw.pending = 0
+}
+
+// close flushes the tail under the batch deadline, retires the timer and
+// clears the deadline: the connection outlives the handler (keep-alive),
+// so the deadline must not leak into the next request on it.
+func (lw *lineWriter) close() {
+	lw.mu.Lock()
+	defer lw.mu.Unlock()
+	if lw.err == nil && lw.pending > 0 {
+		lw.flushLocked()
+	}
+	if lw.timer != nil {
+		lw.timer.Stop()
+	}
+	lw.done = true
+	_ = lw.rc.SetWriteDeadline(time.Time{})
+}
 
 // app bundles the long-lived server state the handlers share: the
 // synchronous evaluation service, the asynchronous job manager, the result
@@ -262,7 +364,8 @@ func (a *app) handleRun(w http.ResponseWriter, r *http.Request) {
 
 // handleSweep evaluates a scenario grid, streaming one NDJSON line per cell
 // in deterministic nested order as soon as each result's predecessors are
-// done.
+// done. Lines go out in batches (see lineWriter): each at most flushDelay
+// after it is written, or sooner once flushBytes are buffered.
 func (a *app) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req batsched.SweepRequest
 	if err := decodeBody(w, r, &req); err != nil {
@@ -272,12 +375,9 @@ func (a *app) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// The header is deferred until the first result: SweepStreamLines
 	// validates the scenario itself (once — no separate Validate pass),
 	// so spec errors still surface with a proper status code.
-	flusher, _ := w.(http.Flusher)
-	rc := http.NewResponseController(w)
+	lw := newLineWriter(w)
+	defer lw.close()
 	streaming := false
-	// The connection outlives this handler (keep-alive), so the per-line
-	// deadline must not leak into the next request on it.
-	defer func() { _ = rc.SetWriteDeadline(time.Time{}) }()
 	err := a.svc.SweepStreamLines(r.Context(), req, func(sl batsched.SweepLine) error {
 		if !streaming {
 			w.Header().Set("Content-Type", "application/x-ndjson")
@@ -286,22 +386,12 @@ func (a *app) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		// A connected client that stops reading would otherwise block
 		// this write forever — and with it the sweep's workers and a
-		// service concurrency slot. Bound each line; a missed deadline
-		// fails the emit, which cancels the sweep's remaining cells.
-		// The service hands over pre-encoded line bytes (cached cells
-		// pass store bytes straight through), so the handler writes, it
-		// never marshals.
-		_ = rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
-		if _, err := w.Write(sl.Line); err != nil {
-			return err
-		}
-		if _, err := w.Write(nl); err != nil {
-			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
+		// service concurrency slot. The batch deadline bounds it; a
+		// missed deadline fails the emit, which cancels the sweep's
+		// remaining cells. The service hands over pre-encoded line bytes
+		// (cached cells pass store bytes straight through), so the
+		// handler writes, it never marshals.
+		return lw.writeLine(sl.Line)
 	})
 	if err != nil && !streaming {
 		writeError(w, statusFor(err), err)
